@@ -2,16 +2,25 @@
 // with per-function throughput (google-benchmark) and a uniformity summary.
 // The paper's table only lists the functions; this bench demonstrates that
 // every member is implemented and behaves as an independent uniform hash.
+//
+// BM_UrlBlock hashes 32-key blocks of ShallaLike URL keys (the read path's
+// key shape) with each function HABF can address at the default cell width,
+// so the cost of every candidate H0 member shows per function:
+//   bench_table2_hashes --benchmark_filter=UrlBlock
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/habf.h"
 #include "hashing/hash_function.h"
 #include "util/rng.h"
 #include "util/table_printer.h"
+#include "workload/dataset.h"
 
 namespace habf {
 namespace {
@@ -46,6 +55,45 @@ void BM_HashFunction(benchmark::State& state) {
   state.SetLabel(family.Name(idx));
 }
 
+constexpr size_t kBlock = 32;
+
+/// 4096 ShallaLike URL keys (cache-resident): 128 blocks of 32.
+const std::vector<std::string_view>& BlockKeys() {
+  static const Dataset data = [] {
+    DatasetOptions options;
+    options.num_positives = 4096;
+    options.num_negatives = 0;
+    return GenerateShallaLike(options);
+  }();
+  static const std::vector<std::string_view> views(data.positives.begin(),
+                                                   data.positives.end());
+  return views;
+}
+
+/// Family members a HABF cell can address at the default cell width.
+size_t UsableFunctions() {
+  const size_t usable = (size_t{1} << (HabfOptions().cell_bits - 1)) - 1;
+  return std::min(usable, HashFamily::Global().size());
+}
+
+void BM_UrlBlock(benchmark::State& state) {
+  const size_t idx = static_cast<size_t>(state.range(0));
+  const auto& family = HashFamily::Global();
+  const std::vector<std::string_view>& keys = BlockKeys();
+  uint64_t out[kBlock];
+  size_t base = 0;
+  for (auto _ : state) {
+    for (size_t i = 0; i < kBlock; ++i) {
+      out[i] = family.Hash(idx, keys[base + i], 0);
+    }
+    benchmark::DoNotOptimize(out);
+    benchmark::ClobberMemory();
+    base = (base + kBlock) % keys.size();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kBlock));
+  state.SetLabel(family.Name(idx));
+}
+
 void PrintUniformitySummary() {
   const auto& family = HashFamily::Global();
   const auto keys = MakeKeys(50000);
@@ -72,6 +120,8 @@ void PrintUniformitySummary() {
 }  // namespace habf
 
 BENCHMARK(habf::BM_HashFunction)->DenseRange(0, 21);
+BENCHMARK(habf::BM_UrlBlock)
+    ->DenseRange(0, static_cast<int64_t>(habf::UsableFunctions()) - 1);
 
 int main(int argc, char** argv) {
   habf::PrintUniformitySummary();

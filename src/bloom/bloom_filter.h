@@ -37,8 +37,9 @@ class BloomFilter {
 
   /// Batched test of every key with the default function subset (Filter
   /// concept): out[i] = 1/0 per key; returns the number of positives.
-  /// Hashes a block of keys, prefetches every probed bit-array word, then
-  /// probes — hiding memory latency that MightContain pays per key.
+  /// Prefetches key bytes, hashes a block of keys, prefetches every probed
+  /// bit-array word, then probes — hiding memory latency that MightContain
+  /// pays per key.
   size_t ContainsBatch(KeySpan keys, uint8_t* out) const {
     return TestBatchWith(keys, default_fns_.data(), default_fns_.size(), out);
   }
@@ -63,11 +64,19 @@ class BloomFilter {
     const uint64_t* words = bits_.words().data();
     size_t positions[kBlock][32];
     size_t positives = 0;
+    PrefetchKeys(keys, 0, kKeyPrefetchDistance);
     for (size_t base = 0; base < keys.size(); base += kBlock) {
       const size_t count =
           keys.size() - base < kBlock ? keys.size() - base : kBlock;
-      // Stage 1: hash the whole block and prefetch every probed word, so
-      // the loads of one key overlap the hashing of the next.
+      // Stage 0: prefetch key bytes ahead, for callers whose keys no earlier
+      // pass has read.
+      PrefetchKeys(keys, base + kKeyPrefetchDistance,
+                   base + count + kKeyPrefetchDistance);
+      // Stage 1: hash key by key and prefetch each key's probed words as
+      // soon as they are known, so the loads of one key overlap the hashing
+      // of the next. (Hashing the block function by function instead
+      // delays every load to the end of the stage: with 8 shards, ~4 keys a
+      // shard, that measured ~10% slower end to end on a 4-vCPU Xeon VM.)
       for (size_t i = 0; i < count; ++i) {
         uint8_t scratch[32];
         const uint8_t* fns = fns_for(base + i, scratch);

@@ -255,7 +255,11 @@ size_t DynamicShardedHabf::ContainsBatch(KeySpan keys, uint8_t* out) const {
   size_t positives = 0;
   {
     ReaderLock lock(delta_mutex_);
+    // The delta pass is the first to read key bytes: prefetch them ahead.
+    PrefetchKeys(keys, 0, kKeyPrefetchDistance);
     for (size_t i = 0; i < n; ++i) {
+      PrefetchKeys(keys, i + kKeyPrefetchDistance,
+                   i + 1 + kKeyPrefetchDistance);
       if (delta_filter_.MightContain(keys[i])) {
         auto it = delta_.find(LookupKey(keys[i]));
         if (it != delta_.end()) {

@@ -12,9 +12,10 @@
 //   * f.ContainsBatch(Span<const std::string_view> keys, uint8_t* out)
 //       -> size_t
 //     writing out[i] = 1/0 per key and returning the number of positives.
-//     Native implementations hash a block of keys first, prefetch every
-//     probed bit-array word, then probe — overlapping memory latency across
-//     keys instead of stalling on one lookup at a time.
+//     Native implementations prefetch key bytes ahead of the first pass that
+//     reads them, hash a block of keys first, prefetch every probed
+//     bit-array word, then probe — overlapping memory latency across keys
+//     instead of stalling on one lookup at a time.
 //
 // QueryBatch() below dispatches to the native path when present and to a
 // per-key fallback otherwise, so measurement code can treat every filter
@@ -65,6 +66,31 @@ class Span {
 
 /// The key batch type every ContainsBatch takes.
 using KeySpan = Span<const std::string_view>;
+
+/// How many keys ahead of the one being read the batched read paths
+/// prefetch key bytes. Batch keys usually live scattered in a large key set,
+/// so reading a key's bytes is a cache miss that the hashing of the keys in
+/// between must cover. With 45-byte URL keys routed through 8 shards on a
+/// 4-vCPU Xeon VM, 16 beat 4 and 8 in every paired run and tied 32.
+inline constexpr size_t kKeyPrefetchDistance = 16;
+
+/// Prefetches the first and last byte of each key in keys[begin, end)
+/// (clamped to the span) — both cache lines of a key that straddles one.
+/// Empty keys are skipped: their data may be null.
+///
+/// A pass over keys[0..n) keeps the distance by priming with
+/// PrefetchKeys(keys, 0, kKeyPrefetchDistance) and then, before reading
+/// keys[i, i + c), calling PrefetchKeys(keys, i + kKeyPrefetchDistance,
+/// i + c + kKeyPrefetchDistance).
+inline void PrefetchKeys(KeySpan keys, size_t begin, size_t end) {
+  if (end > keys.size()) end = keys.size();
+  for (size_t i = begin; i < end; ++i) {
+    const std::string_view key = keys[i];
+    if (key.empty()) continue;
+    __builtin_prefetch(key.data(), 0, 3);
+    __builtin_prefetch(key.data() + key.size() - 1, 0, 3);
+  }
+}
 
 /// A span of key views — the build-set type of the span-based build entry
 /// points (Habf::Build, BuildShardedHabf). Deliberately the same type as

@@ -136,17 +136,18 @@ bool HashExpressor::Insert(std::string_view key, const uint8_t* fns,
 bool HashExpressor::Query(std::string_view key, uint8_t* fns,
                           size_t n) const {
   size_t cell = EntryCell(key);
-  size_t last_cell = cell;
   for (size_t i = 0; i < n; ++i) {
     const Cell c = ReadCell(cell);
     if (c.hashindex == 0) return false;
     const uint8_t fn = static_cast<uint8_t>(c.hashindex - 1);
     if (fn >= provider_->NumFunctions()) return false;
     fns[i] = fn;
-    last_cell = cell;
+    // The final cell's endbit decides; stepping past it would cost one more
+    // family evaluation and a modulo for a cell nobody reads.
+    if (i + 1 == n) return c.endbit;
     cell = NextCell(key, fn);
   }
-  return ReadCell(last_cell).endbit;
+  return ReadCell(cell).endbit;  // n == 0: the entry cell decides
 }
 
 double HashExpressor::FillRatio() const {

@@ -1,6 +1,7 @@
-// Software CRC-32 (IEEE 802.3 polynomial, reflected, table-driven). The
-// lookup table is generated at compile time. The family adapter widens the
-// 32-bit CRC with Fmix64 and folds the seed into the initial register.
+// Software CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8: eight
+// compile-time tables fold eight input bytes per step, and one four-byte
+// step plus the bytewise table finish the tail. The family adapter widens
+// the 32-bit CRC with Fmix64 and folds the seed into the initial register.
 
 #pragma once
 
