@@ -5,7 +5,7 @@
 # Usage: scripts/check.sh [Release|Debug] [--sanitize|--tsan|--thread-safety|--tidy]
 #   --sanitize builds into build-sanitize/ with ASan+UBSan
 #   (-DHABF_SANITIZE=ON), which races/overflow-checks the concurrent
-#   sharded build and pooled query fan-out paths.
+#   sharded build and query paths.
 #   --tsan builds into build-tsan/ with ThreadSanitizer (-DHABF_TSAN=ON)
 #   and runs the concurrency suites (thread pool, sharded build/query,
 #   async build handles, FilterStore hot swaps, concurrent readers) under

@@ -159,63 +159,13 @@ size_t XorFilter::ContainsBatch(KeySpan keys, uint8_t* out) const {
 }
 
 namespace {
-constexpr uint32_t kXorMagic = 0x46524F58;  // "XORF" (legacy format)
-constexpr uint32_t kXorVersion = 1;
-
 // HBF1 content + section tags for an XorFilter snapshot (DESIGN.md §10).
 constexpr uint32_t kXorContentTag = FourCc("XORF");
 constexpr uint32_t kXorConfigTag = FourCc("XCFG");
 constexpr uint32_t kXorSlotsTag = FourCc("SLOT");
-
-struct XorSnapshotFields {
-  uint64_t segment_length = 0;
-  uint32_t fingerprint_bits = 0;
-  uint64_t seed = 0;
-  std::vector<uint64_t> words;
-};
-
-bool ParseLegacyXorSnapshot(std::string_view data, XorSnapshotFields* fields) {
-  BinaryReader reader(data);
-  if (reader.ReadU32() != kXorMagic) return false;
-  if (reader.ReadU32() != kXorVersion) return false;
-  fields->segment_length = reader.ReadU64();
-  fields->fingerprint_bits = reader.ReadU32();
-  fields->seed = reader.ReadU64();
-  fields->words = reader.ReadWords();
-  return reader.ok();
-}
-
-bool ParseHbf1XorSnapshot(std::string_view data, XorSnapshotFields* fields) {
-  const std::optional<SectionReader> container = SectionReader::Parse(data);
-  if (!container.has_value() || container->content_tag() != kXorContentTag) {
-    return false;
-  }
-  const std::optional<std::string_view> config =
-      container->Find(kXorConfigTag);
-  const std::optional<std::string_view> slots = container->Find(kXorSlotsTag);
-  if (!config.has_value() || !slots.has_value()) return false;
-  BinaryReader config_reader(*config);
-  fields->segment_length = config_reader.ReadU64();
-  fields->fingerprint_bits = config_reader.ReadU32();
-  fields->seed = config_reader.ReadU64();
-  if (!config_reader.ok() || config_reader.remaining() != 0) return false;
-  BinaryReader slots_reader(*slots);
-  fields->words = slots_reader.ReadWords();
-  return slots_reader.ok() && slots_reader.remaining() == 0;
-}
 }  // namespace
 
-void XorFilter::Serialize(std::string* out, SnapshotFormat format) const {
-  if (format == SnapshotFormat::kLegacy) {
-    BinaryWriter writer(out);
-    writer.WriteU32(kXorMagic);
-    writer.WriteU32(kXorVersion);
-    writer.WriteU64(segment_length_);
-    writer.WriteU32(fingerprint_bits_);
-    writer.WriteU64(seed_);
-    writer.WriteWords(slots_.words());
-    return;
-  }
+void XorFilter::Serialize(std::string* out) const {
   std::string config;
   BinaryWriter config_writer(&config);
   config_writer.WriteU64(segment_length_);
@@ -230,17 +180,27 @@ void XorFilter::Serialize(std::string* out, SnapshotFormat format) const {
 }
 
 std::optional<XorFilter> XorFilter::Deserialize(std::string_view data) {
-  XorSnapshotFields fields;
-  const bool parsed = SectionReader::LooksLikeContainer(data)
-                          ? ParseHbf1XorSnapshot(data, &fields)
-                          : ParseLegacyXorSnapshot(data, &fields);
-  if (!parsed || fields.segment_length == 0 || fields.fingerprint_bits < 1 ||
-      fields.fingerprint_bits > 32) {
+  const std::optional<SectionReader> container = SectionReader::Parse(data);
+  if (!container.has_value() || container->content_tag() != kXorContentTag) {
     return std::nullopt;
   }
-  XorFilter filter(fields.segment_length, fields.fingerprint_bits,
-                   fields.seed);
-  if (!filter.slots_.LoadWords(std::move(fields.words))) return std::nullopt;
+  const std::optional<std::string_view> config =
+      container->Find(kXorConfigTag);
+  const std::optional<std::string_view> slots = container->Find(kXorSlotsTag);
+  if (!config.has_value() || !slots.has_value()) return std::nullopt;
+  BinaryReader config_reader(*config);
+  const uint64_t segment_length = config_reader.ReadU64();
+  const uint32_t fingerprint_bits = config_reader.ReadU32();
+  const uint64_t seed = config_reader.ReadU64();
+  if (!config_reader.ok() || config_reader.remaining() != 0 ||
+      segment_length == 0 || fingerprint_bits < 1 || fingerprint_bits > 32) {
+    return std::nullopt;
+  }
+  BinaryReader slots_reader(*slots);
+  std::vector<uint64_t> words = slots_reader.ReadWords();
+  if (!slots_reader.ok() || slots_reader.remaining() != 0) return std::nullopt;
+  XorFilter filter(segment_length, fingerprint_bits, seed);
+  if (!filter.slots_.LoadWords(std::move(words))) return std::nullopt;
   return filter;
 }
 

@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include <dirent.h>
-#include <fcntl.h>
 #include <unistd.h>
 
 #include "hashing/crc32.h"
@@ -47,14 +46,6 @@ std::vector<std::pair<uint64_t, std::string>> ListWalFiles(
   closedir(d);
   std::sort(files.begin(), files.end());
   return files;
-}
-
-bool FsyncDirectory(const std::string& dir) {
-  const int fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return false;
-  const bool ok = fsync(fd) == 0;
-  close(fd);
-  return ok;
 }
 
 }  // namespace

@@ -103,10 +103,6 @@ DynamicShardedHabf::DynamicShardedHabf(std::vector<std::string> positives,
     shard_negatives_[s].push_back(std::move(wk));
   }
 
-  if (dynamic_options_.query_pool != nullptr) {
-    filter.SetQueryPool(dynamic_options_.query_pool,
-                        dynamic_options_.query_pool_threshold);
-  }
   base_.Publish(std::move(filter));
 }
 
@@ -444,10 +440,6 @@ CompactionReport DynamicShardedHabf::CompactDirtyShards() {
     }
   }
   ShardedFilter<Habf> next(std::move(shards), salt_, directory_);
-  if (dynamic_options_.query_pool != nullptr) {
-    next.SetQueryPool(dynamic_options_.query_pool,
-                      dynamic_options_.query_pool_threshold);
-  }
 
   // --- Phase 3: publish, then drain, inside ONE writer critical section.
   // Ordering is the zero-false-negative crux: once a captured entry leaves
@@ -587,7 +579,7 @@ bool DynamicShardedHabf::CheckpointLocked(std::string* error) {
   {
     TokenLock base_order(base_acquire_order_);
     const auto snap = base_.Acquire();
-    snap.filter->Serialize(&base_payload, SnapshotFormat::kHbf1);
+    snap.filter->Serialize(&base_payload);
   }
   std::string keys_payload;
   {
@@ -662,12 +654,7 @@ DynamicShardedHabf::DynamicShardedHabf(RecoveredState state,
           ComputeCompactionThreads(dynamic_options_, state.num_shards)) {
   dirty_.assign(num_shards_, 0);
   compaction_epoch_ = state.compaction_epoch;
-  ShardedFilter<Habf> filter = std::move(*state.base);
-  if (dynamic_options_.query_pool != nullptr) {
-    filter.SetQueryPool(dynamic_options_.query_pool,
-                        dynamic_options_.query_pool_threshold);
-  }
-  base_.Publish(std::move(filter));
+  base_.Publish(std::move(*state.base));
 }
 
 bool DynamicShardedHabf::ParseSnapshotBytes(std::string_view bytes,

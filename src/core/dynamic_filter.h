@@ -86,11 +86,6 @@ struct DynamicOptions {
   /// Workers for the per-dirty-shard rebuild fan-out; 0 = one per hardware
   /// thread, capped at the shard count.
   size_t compaction_threads = 0;
-  /// Optional pooled query fan-out applied to every published base filter
-  /// (initial build included), i.e. ShardedFilter::SetQueryPool. The pool
-  /// must outlive this DynamicShardedHabf.
-  ThreadPool* query_pool = nullptr;
-  size_t query_pool_threshold = kDefaultParallelQueryThreshold;
 };
 
 /// What one compaction pass did (returned by CompactDirtyShards and

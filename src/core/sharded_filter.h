@@ -16,7 +16,6 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
@@ -44,12 +43,12 @@ namespace habf {
 constexpr uint64_t kDefaultShardSalt = 0x5348415244ULL;  // "SHARD"
 
 /// Legacy sharded snapshot framing (magic + version + shard directory):
-/// uniform hash routing, no routing directory. Still written for
-/// uniform-routed filters and always accepted by Deserialize.
+/// uniform hash routing, no routing directory. Read-only: accepted by
+/// Deserialize, no longer written.
 constexpr uint32_t kShardedSnapshotMagic = 0x44524853;  // "SHRD"
 constexpr uint32_t kShardedSnapshotVersion = 1;
-/// Two-choice sharded snapshot framing: SHRD plus the persisted routing
-/// directory and per-shard routed weights (DESIGN.md §6).
+/// Legacy two-choice sharded snapshot framing: SHRD plus the persisted
+/// routing directory and per-shard routed weights (DESIGN.md §6). Read-only.
 constexpr uint32_t kShardedSnapshotMagicV2 = 0x32524853;  // "SHR2"
 constexpr uint32_t kShardedSnapshotVersionV2 = 1;
 /// Upper bound on the shard count accepted from a snapshot header; anything
@@ -83,10 +82,6 @@ inline size_t ShardOfKey(std::string_view key, uint64_t salt,
                              num_shards);
 }
 
-/// Default batch size above which a configured query pool kicks in (below
-/// it the task hand-off costs more than the per-shard group queries).
-constexpr size_t kDefaultParallelQueryThreshold = 4096;
-
 /// Splits `total_bits` across shards proportionally to `weights` (positive
 /// key counts) by largest-remainder apportionment, then rebalances so every
 /// shard gets at least `floor_bits` (the minimum Habf::ComputeSizing
@@ -118,7 +113,7 @@ struct ShardedBuildOptions {
 
 /// A filter hash-partitioned into independent per-shard filters. F must
 /// model the Filter concept; Serialize/Deserialize additionally require
-/// `void F::Serialize(std::string*, SnapshotFormat) const` and
+/// `void F::Serialize(std::string*) const` and
 /// `static std::optional<F> F::Deserialize(std::string_view)`.
 template <typename F>
 class ShardedFilter {
@@ -146,35 +141,10 @@ class ShardedFilter {
             directory_.num_buckets() <= kMaxRoutingBuckets));
   }
 
-  // Moves transfer the query-pool configuration as plain values. They are
-  // NOT thread-safe against concurrent queries on the source (moving a
-  // filter out from under readers is a use-after-move bug regardless); the
-  // explicit definitions exist only because the atomic configuration
-  // members delete the implicit ones. Copying is deleted as before (the
-  // shard filters themselves need not be copyable).
   ShardedFilter(const ShardedFilter&) = delete;
   ShardedFilter& operator=(const ShardedFilter&) = delete;
-  ShardedFilter(ShardedFilter&& other) noexcept
-      : shards_(std::move(other.shards_)),
-        salt_(other.salt_),
-        directory_(std::move(other.directory_)),
-        name_(std::move(other.name_)),
-        query_pool_(other.query_pool_.load(std::memory_order_relaxed)),
-        parallel_query_threshold_(
-            other.parallel_query_threshold_.load(std::memory_order_relaxed)) {}
-  ShardedFilter& operator=(ShardedFilter&& other) noexcept {
-    if (this == &other) return *this;
-    shards_ = std::move(other.shards_);
-    salt_ = other.salt_;
-    directory_ = std::move(other.directory_);
-    name_ = std::move(other.name_);
-    query_pool_.store(other.query_pool_.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-    parallel_query_threshold_.store(
-        other.parallel_query_threshold_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    return *this;
-  }
+  ShardedFilter(ShardedFilter&&) = default;
+  ShardedFilter& operator=(ShardedFilter&&) = default;
 
   size_t num_shards() const { return shards_.size(); }
   uint64_t salt() const { return salt_; }
@@ -198,39 +168,6 @@ class ShardedFilter {
     if (directory_.empty()) return ShardOfKey(key, salt_, shards_.size());
     return directory_.bucket_to_shard[RoutingBucketOfKey(
         key, salt_, directory_.num_buckets())];
-  }
-
-  /// Opt-in pooled query fan-out: batches of at least `min_parallel_keys`
-  /// run their per-shard group queries as tasks on `pool` (nullptr reverts
-  /// to the serial path). The per-shard output regions are disjoint, so the
-  /// only synchronization is the WaitAll barrier, and the answers are
-  /// bit-for-bit identical to the serial path. Sharing one pool between
-  /// concurrent readers is safe (each reader's barrier also drains the
-  /// other's tasks).
-  ///
-  /// Contract under concurrency: SetQueryPool may be called while other
-  /// threads are inside ContainsBatch — both fields are atomic, and each
-  /// batch uses the *pool pointer* it loaded at entry for its whole
-  /// grouping pass. The pool/threshold pair is not installed as one unit,
-  /// though: a batch racing the reconfiguration may combine the old pool
-  /// with the new threshold (or vice versa). Either combination only
-  /// decides parallel-vs-serial for that one batch — answers are
-  /// bit-for-bit identical on both paths. The previous pool must outlive
-  /// every batch that was already in flight when it was replaced, and the
-  /// new pool every batch started after; destroying a pool immediately
-  /// after SetQueryPool(nullptr) without a barrier is the caller's race
-  /// (tests/sharded_filter_test.cc,
-  /// SetQueryPoolToggledUnderConcurrentReaders).
-  void SetQueryPool(ThreadPool* pool,
-                    size_t min_parallel_keys = kDefaultParallelQueryThreshold) {
-    parallel_query_threshold_.store(
-        min_parallel_keys < 1 ? 1 : min_parallel_keys,
-        std::memory_order_relaxed);
-    query_pool_.store(pool, std::memory_order_release);
-  }
-
-  ThreadPool* query_pool() const {
-    return query_pool_.load(std::memory_order_acquire);
   }
 
   // --- Filter concept -----------------------------------------------------
@@ -278,47 +215,15 @@ class ShardedFilter {
       scratch.origin[slot] = static_cast<uint32_t>(i);
     }
 
-    // Pass 3: one native batch query per non-empty group — pooled fan-out
-    // for large batches when a query pool is configured (each task reads
-    // and writes a disjoint slice of the grouping scratch, so the WaitAll
-    // barrier is the only synchronization), serial otherwise.
-    // One atomic load per batch: a concurrent SetQueryPool cannot change
-    // this batch's pool mid-pass (see the SetQueryPool contract).
+    // Pass 3: one native batch query per non-empty group.
     size_t positives = 0;
-    ThreadPool* pool = query_pool_.load(std::memory_order_acquire);
-    if (pool != nullptr && pool->num_threads() > 0 &&
-        n >= parallel_query_threshold_.load(std::memory_order_relaxed)) {
-      std::fill(scratch.shard_positives.begin(),
-                scratch.shard_positives.end(), size_t{0});
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        const size_t begin = scratch.offsets[s];
-        const size_t count = scratch.offsets[s + 1] - begin;
-        if (count == 0) continue;
-        // Capture raw pointers into *this caller's* scratch: naming the
-        // thread_local inside the lambda would silently re-resolve it to
-        // the worker's own (empty) instance instead.
-        const std::string_view* group_keys = scratch.grouped.data() + begin;
-        uint8_t* group_out = scratch.grouped_out.data() + begin;
-        size_t* group_positives = &scratch.shard_positives[s];
-        pool->Submit([this, s, group_keys, group_out, group_positives,
-                      count] {
-          *group_positives =
-              QueryBatch(shards_[s], KeySpan(group_keys, count), group_out);
-        });
-      }
-      pool->WaitAll();
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        positives += scratch.shard_positives[s];
-      }
-    } else {
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        const size_t begin = scratch.offsets[s];
-        const size_t count = scratch.offsets[s + 1] - begin;
-        if (count == 0) continue;
-        positives += QueryBatch(shards_[s],
-                                KeySpan(scratch.grouped.data() + begin, count),
-                                scratch.grouped_out.data() + begin);
-      }
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      const size_t begin = scratch.offsets[s];
+      const size_t count = scratch.offsets[s + 1] - begin;
+      if (count == 0) continue;
+      positives += QueryBatch(shards_[s],
+                              KeySpan(scratch.grouped.data() + begin, count),
+                              scratch.grouped_out.data() + begin);
     }
     for (size_t i = 0; i < n; ++i) {
       out[scratch.origin[i]] = scratch.grouped_out[i];
@@ -336,45 +241,11 @@ class ShardedFilter {
 
   // --- persistence (versioned sharded snapshot) ---------------------------
 
-  /// Appends the sharded snapshot. The default is the HBF1 sectioned
-  /// container (content "SHRD"; DESIGN.md §10): an SCFG section (salt +
-  /// shard count), an RDIR section for two-choice routing, and an SHDS
-  /// section of length-prefixed per-shard sub-snapshots (each produced by
-  /// F::Serialize in the same format). kLegacy emits the byte-exact
-  /// pre-HBF1 framing — SHRD for uniform routing, SHR2 (directory +
-  /// per-shard routed weights) for two-choice — for old readers and the
-  /// format_compat fixtures.
-  void Serialize(std::string* out,
-                 SnapshotFormat format = SnapshotFormat::kHbf1) const {
-    if (format == SnapshotFormat::kLegacy) {
-      BinaryWriter writer(out);
-      if (directory_.empty()) {
-        writer.WriteU32(kShardedSnapshotMagic);
-        writer.WriteU32(kShardedSnapshotVersion);
-        writer.WriteU64(salt_);
-        writer.WriteU32(static_cast<uint32_t>(shards_.size()));
-      } else {
-        writer.WriteU32(kShardedSnapshotMagicV2);
-        writer.WriteU32(kShardedSnapshotVersionV2);
-        writer.WriteU64(salt_);
-        writer.WriteU32(static_cast<uint32_t>(shards_.size()));
-        writer.WriteU32(static_cast<uint32_t>(directory_.num_buckets()));
-        for (const uint16_t shard : directory_.bucket_to_shard) {
-          writer.WriteU8(static_cast<uint8_t>(shard & 0xFF));
-          writer.WriteU8(static_cast<uint8_t>(shard >> 8));
-        }
-        for (const double weight : directory_.shard_weights) {
-          writer.WriteDouble(weight);
-        }
-      }
-      for (const F& shard : shards_) {
-        std::string sub;
-        shard.Serialize(&sub, SnapshotFormat::kLegacy);
-        writer.WriteBytes(sub);
-      }
-      return;
-    }
-
+  /// Appends the sharded snapshot as an HBF1 sectioned container (content
+  /// "SHRD"; DESIGN.md §10): an SCFG section (salt + shard count), an RDIR
+  /// section for two-choice routing, and an SHDS section of length-prefixed
+  /// per-shard sub-snapshots (each produced by F::Serialize).
+  void Serialize(std::string* out) const {
     std::string config;
     BinaryWriter config_writer(&config);
     config_writer.WriteU64(salt_);
@@ -384,7 +255,7 @@ class ShardedFilter {
     BinaryWriter shard_writer(&shard_blob);
     for (const F& shard : shards_) {
       std::string sub;
-      shard.Serialize(&sub, SnapshotFormat::kHbf1);
+      shard.Serialize(&sub);
       shard_writer.WriteBytes(sub);
     }
 
@@ -461,10 +332,9 @@ class ShardedFilter {
     return ShardedFilter(std::move(shards), salt, std::move(directory));
   }
 
-  bool SaveToFile(const std::string& path,
-                  SnapshotFormat format = SnapshotFormat::kHbf1) const {
+  bool SaveToFile(const std::string& path) const {
     std::string bytes;
-    Serialize(&bytes, format);
+    Serialize(&bytes);
     // Atomic replace: a crash mid-save can never leave a torn snapshot that
     // only surfaces at load time.
     return WriteFileBytesAtomic(path, bytes);
@@ -532,9 +402,6 @@ class ShardedFilter {
     std::vector<size_t> cursor;
     std::vector<std::string_view> grouped;
     std::vector<uint8_t> grouped_out;
-    /// Per-shard positive counts of the pooled fan-out (each task writes
-    /// its own slot; summed after the barrier).
-    std::vector<size_t> shard_positives;
 
     void Resize(size_t num_keys, size_t num_shards) {
       if (shard_of.size() < num_keys) {
@@ -546,7 +413,6 @@ class ShardedFilter {
       if (offsets.size() < num_shards + 1) {
         offsets.resize(num_shards + 1);
         cursor.resize(num_shards);
-        shard_positives.resize(num_shards);
       }
     }
   };
@@ -556,11 +422,6 @@ class ShardedFilter {
   /// Two-choice bucket→shard table; empty = uniform hash routing.
   RoutingDirectory directory_;
   std::string name_;
-  /// Pooled fan-out configuration (SetQueryPool); nullptr = serial pass 3.
-  /// Atomic so SetQueryPool is safe against in-flight ContainsBatch calls.
-  std::atomic<ThreadPool*> query_pool_{nullptr};
-  std::atomic<size_t> parallel_query_threshold_{
-      kDefaultParallelQueryThreshold};
 };
 
 /// Hash-partitions the build sets and runs one TPJO build per shard on a
@@ -616,9 +477,9 @@ class BuildHandle;
 /// runs inline on the caller). Passing a shared pool is allowed and safe —
 /// shard tasks contain their exceptions, so a failed build never poisons
 /// another client's WaitAll — but note two sharing effects: a WaitAll
-/// barrier on the shared pool (e.g. a pooled ContainsBatch fan-out) also
-/// waits for any rebuild tasks already queued, and a 0-worker (inline) pool
-/// degenerates the "async" build into completing during this call.
+/// barrier on the shared pool also waits for any rebuild tasks already
+/// queued, and a 0-worker (inline) pool degenerates the "async" build into
+/// completing during this call.
 ///
 /// Lifetime: the spans view caller storage, which must stay alive until the
 /// handle completes (Wait()/TakeResult() returns, or the handle is

@@ -132,9 +132,14 @@ std::atomic<uint64_t> dir_sync_count{0};
 // and a crash can resurface the old file.
 bool SyncParentDir(const std::string& path) {
   const size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : (slash == 0 ? "/" : path.substr(0, slash));
+  return FsyncDirectory(slash == std::string::npos
+                            ? std::string(".")
+                            : (slash == 0 ? "/" : path.substr(0, slash)));
+}
+
+}  // namespace
+
+bool FsyncDirectory(const std::string& dir) {
   const int fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (fd < 0) return false;
   const bool ok = fsync(fd) == 0;
@@ -142,8 +147,6 @@ bool SyncParentDir(const std::string& path) {
   if (ok) dir_sync_count.fetch_add(1, std::memory_order_relaxed);
   return ok;
 }
-
-}  // namespace
 
 uint64_t AtomicWriteDirSyncCountForTest() {
   return dir_sync_count.load(std::memory_order_relaxed);

@@ -170,11 +170,6 @@ inline constexpr uint32_t kContainerVersion = 1;
 /// larger count is a corrupt or hostile header, rejected before allocation.
 inline constexpr uint32_t kMaxContainerSections = 64;
 
-/// Which on-disk format a Serialize call emits. Readers always sniff the
-/// magic and accept both; kLegacy keeps the pre-HBF1 writers byte-exact for
-/// the format_compat fixtures and the `--snapshot-format legacy` escape.
-enum class SnapshotFormat : uint8_t { kHbf1, kLegacy };
-
 /// Appends an HBF1 container to `*out`: construct, AddSection() per payload,
 /// Finish() exactly once (patches the section count into the header).
 class SectionWriter {
@@ -260,10 +255,15 @@ bool WriteFileBytes(const std::string& path, std::string_view data);
 /// Returns false on any I/O error.
 bool WriteFileBytesAtomic(const std::string& path, std::string_view data);
 
-/// Number of successful parent-directory fsyncs performed by
-/// WriteFileBytesAtomic in this process. Test-only: lets a test assert the
-/// directory-fd durability path actually ran (it has no other observable
-/// effect short of pulling the power cord).
+/// fsync()s the directory `dir` itself, making the renames, creations and
+/// unlinks already done in it durable. False if it cannot be opened or
+/// synced.
+bool FsyncDirectory(const std::string& dir);
+
+/// Number of successful FsyncDirectory calls in this process, including the
+/// parent-directory fsync of every WriteFileBytesAtomic. Test-only: lets a
+/// test assert the directory-fd durability path actually ran (it has no
+/// other observable effect short of pulling the power cord).
 uint64_t AtomicWriteDirSyncCountForTest();
 
 /// Reads the whole file into `*out`. Returns false on any I/O error.

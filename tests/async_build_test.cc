@@ -257,17 +257,17 @@ TEST(AsyncBuildTest, MovedFromHandleIsInertAndMoveAssignAbandons) {
   EXPECT_EQ(moved.TakeResult().num_shards(), 3u);
 }
 
-// The existing-gap satellite: batched queries fanning out on the SAME pool
-// an async rebuild is using. The pooled ContainsBatch barrier (WaitAll)
-// also drains rebuild tasks, so answers must stay bit-for-bit correct and
-// neither client may observe the other's state.
+// Batched readers serving the current filter while an async rebuild runs
+// on a shared pool that another client also uses: that client's WaitAll
+// barrier also drains the rebuild's tasks, so answers must stay
+// bit-for-bit correct and neither client may observe the other's state.
 TEST(AsyncBuildTest, PooledQueriesAndAsyncRebuildShareOnePoolSafely) {
   ThreadPool pool(3);
-  auto serving = BuildShardedHabf(SharedData().positives,
-                                  SharedData().negatives, BaseOptions(),
-                                  Sharding(4, 2));
+  const auto serving = BuildShardedHabf(SharedData().positives,
+                                        SharedData().negatives, BaseOptions(),
+                                        Sharding(4, 2));
 
-  // Reference answers from the serial path, before the pool gets involved.
+  // Reference answers, before the rebuild starts.
   std::vector<std::string_view> mixed;
   for (size_t i = 0; i < 2000; ++i) {
     mixed.push_back(i % 2 == 0
@@ -279,33 +279,41 @@ TEST(AsyncBuildTest, PooledQueriesAndAsyncRebuildShareOnePoolSafely) {
       serving.ContainsBatch(KeySpan(mixed.data(), mixed.size()),
                             expected.data());
 
-  serving.SetQueryPool(&pool, /*min_parallel_keys=*/1);
   HabfOptions rebuild_options = BaseOptions();
   rebuild_options.seed = 99;  // the rebuild is a different filter
   BuildHandle handle =
       BuildShardedHabfAsync(SharedData().positives, SharedData().negatives,
                             rebuild_options, Sharding(6, 2), &pool);
 
-  // Hammer pooled batches from two reader threads while the rebuild's shard
-  // tasks interleave through the same queue.
+  // Hammer batches from two reader threads while the rebuild's shard tasks
+  // run; the main thread meanwhile submits query tasks of its own to the
+  // same pool and waits on it.
   std::atomic<bool> mismatch{false};
+  auto check_batch = [&](std::vector<uint8_t>* out) {
+    const size_t positives = serving.ContainsBatch(
+        KeySpan(mixed.data(), mixed.size()), out->data());
+    if (positives != expected_positives || *out != expected) {
+      mismatch.store(true);
+    }
+  };
   std::vector<std::thread> readers;
   for (int t = 0; t < 2; ++t) {
     readers.emplace_back([&] {
       std::vector<uint8_t> out(mixed.size());
-      for (int round = 0; round < 20; ++round) {
-        const size_t positives = serving.ContainsBatch(
-            KeySpan(mixed.data(), mixed.size()), out.data());
-        if (positives != expected_positives || out != expected) {
-          mismatch.store(true);
-          return;
-        }
+      for (int round = 0; round < 20 && !mismatch.load(); ++round) {
+        check_batch(&out);
       }
     });
   }
+  std::vector<std::vector<uint8_t>> task_out(
+      4, std::vector<uint8_t>(mixed.size()));
+  for (auto& out : task_out) {
+    pool.Submit([&check_batch, &out] { check_batch(&out); });
+  }
+  pool.WaitAll();
   for (auto& reader : readers) reader.join();
   EXPECT_FALSE(mismatch.load())
-      << "pooled batch answers corrupted by concurrent rebuild tasks";
+      << "batch answers corrupted by concurrent rebuild tasks";
 
   const auto rebuilt = handle.TakeResult();
   EXPECT_EQ(rebuilt.num_shards(), 6u);

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -15,6 +16,10 @@
 
 #include "net/client.h"
 #include "util/serde.h"
+
+#ifndef HABF_TEST_DATA_DIR
+#error "cli_test requires the HABF_TEST_DATA_DIR compile definition"
+#endif
 
 namespace habf {
 namespace cli {
@@ -122,6 +127,14 @@ TEST_F(CliTest, UsageErrors) {
   EXPECT_NE(err_.find("usage:"), std::string::npos);
   EXPECT_EQ(Run({"frobnicate"}), 1);
   EXPECT_EQ(Run({"build", "--out", filter_path_}), 1);  // missing positives
+  // Exactly one destination: a snapshot file or a durability directory.
+  EXPECT_EQ(Run({"build", "--positives", positives_path_}), 1);
+  EXPECT_NE(err_.find("exactly one of --out or --wal-dir"), std::string::npos)
+      << err_;
+  EXPECT_EQ(Run({"build", "--positives", positives_path_, "--out",
+                 filter_path_, "--wal-dir", dir_ + "/wal"}),
+            1);
+  EXPECT_FALSE(std::filesystem::exists(dir_ + "/wal"));
   EXPECT_EQ(Run({"build", "--positives", positives_path_, "--out",
                  filter_path_, "--bits-per-key", "banana"}),
             1);
@@ -228,14 +241,6 @@ TEST_F(CliTest, TwoChoiceRoutingBuildQueryStatsEvalPipeline) {
       << err_;
   EXPECT_EQ(out_.find("not-in-set"), std::string::npos)
       << "a positive key was rejected by the two-choice-routed filter";
-  const std::string per_key_out = out_;
-
-  // The pooled batch path must answer identically on the restored filter.
-  ASSERT_EQ(Run({"query", "--filter", filter_path_, "--keys",
-                 positives_path_, "--parallel-batch", "--threads", "2"}),
-            0)
-      << err_;
-  EXPECT_EQ(out_, per_key_out);
 
   // Stats reports the routing-balance line for a SHR2 snapshot.
   ASSERT_EQ(Run({"stats", "--filter", filter_path_}), 0) << err_;
@@ -289,16 +294,6 @@ TEST_F(CliTest, RoutingFlagsRejectBadValues) {
       << "beyond the 2^20 snapshot bound";
 }
 
-TEST_F(CliTest, ServeSimServesThroughTwoChoiceRebuilds) {
-  ASSERT_EQ(Run({"serve-sim", "--positives", positives_path_, "--negatives",
-                 negatives_path_, "--shards", "3", "--threads", "2",
-                 "--routing", "two-choice", "--rebuilds", "2", "--batch",
-                 "256"}),
-            0)
-      << err_;
-  EXPECT_NE(out_.find("zero_false_negatives=ok"), std::string::npos) << out_;
-}
-
 TEST_F(CliTest, ShardedBuildRejectsBadArguments) {
   EXPECT_EQ(Run({"build", "--positives", positives_path_, "--out",
                  filter_path_, "--shards", "0"}),
@@ -347,49 +342,6 @@ TEST_F(CliTest, BuildRejectsNonFiniteAndUnderflowingNumericFlags) {
   EXPECT_NE(err_.find("bit budget too large"), std::string::npos) << err_;
 }
 
-TEST_F(CliTest, ParallelBatchQueryMatchesPerKeyQuery) {
-  ASSERT_EQ(Run({"build", "--positives", positives_path_, "--negatives",
-                 negatives_path_, "--out", filter_path_, "--shards", "4",
-                 "--threads", "2"}),
-            0)
-      << err_;
-  const std::string keys_path = dir_ + "/mixed_keys.txt";
-  std::string mixed;
-  for (int i = 0; i < 200; ++i) {
-    mixed += (i % 2 == 0 ? "member-" : "outsider-") + std::to_string(i) + "\n";
-  }
-  ASSERT_TRUE(WriteFileBytes(keys_path, mixed));
-
-  ASSERT_EQ(Run({"query", "--filter", filter_path_, "--keys", keys_path}), 0)
-      << err_;
-  const std::string per_key_out = out_;
-  ASSERT_EQ(Run({"query", "--filter", filter_path_, "--keys", keys_path,
-                 "--parallel-batch", "--threads", "3"}),
-            0)
-      << err_;
-  EXPECT_EQ(out_, per_key_out)
-      << "pooled fan-out must answer identically to the per-key path";
-
-  // The unsharded snapshot takes the plain batched path under the flag.
-  const std::string single_path = dir_ + "/single.habf";
-  ASSERT_EQ(Run({"build", "--positives", positives_path_, "--out",
-                 single_path}),
-            0)
-      << err_;
-  ASSERT_EQ(Run({"query", "--filter", single_path, "--keys", keys_path}), 0)
-      << err_;
-  const std::string single_per_key = out_;
-  ASSERT_EQ(Run({"query", "--filter", single_path, "--keys", keys_path,
-                 "--parallel-batch"}),
-            0)
-      << err_;
-  EXPECT_EQ(out_, single_per_key);
-
-  EXPECT_EQ(Run({"query", "--filter", filter_path_, "--keys", keys_path,
-                 "--parallel-batch", "--threads", "zap"}),
-            1);
-}
-
 TEST_F(CliTest, BuildWritesSnapshotAtomicallyWithNoTempLeftover) {
   ASSERT_EQ(Run({"build", "--positives", positives_path_, "--out",
                  filter_path_, "--shards", "2"}),
@@ -417,76 +369,6 @@ TEST_F(CliTest, BuildWritesSnapshotAtomicallyWithNoTempLeftover) {
                  dir_ + "/no-such-dir/f.habf"}),
             2);
   EXPECT_NE(err_.find("cannot write"), std::string::npos) << err_;
-}
-
-TEST_F(CliTest, ServeSimOverlapsQueriesWithRebuildsAndSwaps) {
-  ASSERT_EQ(Run({"serve-sim", "--positives", positives_path_, "--negatives",
-                 negatives_path_, "--shards", "4", "--threads", "2",
-                 "--rebuilds", "2", "--batch", "256"}),
-            0)
-      << err_;
-  // One line per rebuild round, each reporting overlap queries and the
-  // published version, then the zero-false-negative summary.
-  EXPECT_NE(out_.find("rebuild 1: shards=4 queries_during_rebuild="),
-            std::string::npos)
-      << out_;
-  EXPECT_NE(out_.find("published_version=2"), std::string::npos) << out_;
-  EXPECT_NE(out_.find("rebuild 2:"), std::string::npos) << out_;
-  EXPECT_NE(out_.find("published_version=3"), std::string::npos) << out_;
-  EXPECT_NE(out_.find("serve-sim: rebuilds=2 total_queries_during_rebuild="),
-            std::string::npos)
-      << out_;
-  EXPECT_NE(out_.find("final_version=3 zero_false_negatives=ok"),
-            std::string::npos)
-      << out_;
-}
-
-TEST_F(CliTest, ServeSimRejectsBadArguments) {
-  EXPECT_EQ(Run({"serve-sim"}), 1);
-  EXPECT_NE(err_.find("requires --positives"), std::string::npos);
-  EXPECT_EQ(Run({"serve-sim", "--positives", dir_ + "/nope.txt"}), 2);
-  EXPECT_EQ(Run({"serve-sim", "--positives", positives_path_, "--rebuilds",
-                 "0"}),
-            1);
-  EXPECT_NE(err_.find("--rebuilds value '0'"), std::string::npos) << err_;
-  EXPECT_EQ(Run({"serve-sim", "--positives", positives_path_, "--batch",
-                 "banana"}),
-            1);
-  EXPECT_NE(err_.find("banana"), std::string::npos) << err_;
-  EXPECT_EQ(Run({"serve-sim", "--positives", positives_path_,
-                 "--bits-per-key", "nan"}),
-            1)
-      << "serve-sim shares build's numeric hardening";
-}
-
-TEST_F(CliTest, ServeSimMutateRateRunsMixedWorkloadAcrossCompactions) {
-  ASSERT_EQ(Run({"serve-sim", "--positives", positives_path_, "--negatives",
-                 negatives_path_, "--shards", "4", "--threads", "2",
-                 "--rebuilds", "3", "--batch", "256", "--mutate-rate",
-                 "0.25"}),
-            0)
-      << err_;
-  // One line per round reporting the dirty-shard compaction, then the
-  // zero-false-negative summary with the delta fully drained.
-  EXPECT_NE(out_.find("round 1: mutations=64"), std::string::npos) << out_;
-  EXPECT_NE(out_.find("round 3:"), std::string::npos) << out_;
-  EXPECT_NE(out_.find("compactions=3"), std::string::npos) << out_;
-  EXPECT_NE(out_.find("delta_resident=0"), std::string::npos) << out_;
-  EXPECT_NE(out_.find("zero_false_negatives=ok"), std::string::npos) << out_;
-}
-
-TEST_F(CliTest, ServeSimRejectsBadMutateRate) {
-  // The fraction parser must reject everything outside [0, 1] — and name
-  // the offending value — in both directions, plus nan/inf.
-  for (const char* bad : {"-0.1", "1.5", "nan", "inf", "-inf", "0.5x", ""}) {
-    EXPECT_EQ(Run({"serve-sim", "--positives", positives_path_,
-                   "--mutate-rate", bad}),
-              1)
-        << "value: " << bad;
-    EXPECT_NE(err_.find(std::string("bad --mutate-rate value '") + bad + "'"),
-              std::string::npos)
-        << err_;
-  }
 }
 
 TEST_F(CliTest, WeightedNegativesRejectBadCosts) {
@@ -526,40 +408,6 @@ TEST_F(CliTest, HighCostNegativesOptimizedAway) {
       << out_;
 }
 
-TEST_F(CliTest, SnapshotFormatFlagControlsTheWriter) {
-  // Default writer is the HBF1 container; --snapshot-format legacy emits
-  // the pre-HBF1 bytes. Both load through the same query path.
-  ASSERT_EQ(Run({"build", "--positives", positives_path_, "--out",
-                 filter_path_, "--shards", "4", "--routing", "two-choice"}),
-            0)
-      << err_;
-  std::string bytes;
-  ASSERT_TRUE(ReadFileBytes(filter_path_, &bytes));
-  EXPECT_TRUE(SectionReader::LooksLikeContainer(bytes));
-
-  const std::string legacy_path = dir_ + "/cli_filter_legacy.habf";
-  ASSERT_EQ(Run({"build", "--positives", positives_path_, "--out",
-                 legacy_path, "--shards", "4", "--routing", "two-choice",
-                 "--snapshot-format", "legacy"}),
-            0)
-      << err_;
-  ASSERT_TRUE(ReadFileBytes(legacy_path, &bytes));
-  EXPECT_FALSE(SectionReader::LooksLikeContainer(bytes));
-
-  for (const std::string& path : {filter_path_, legacy_path}) {
-    ASSERT_EQ(Run({"query", "--filter", path, "--key", "member-11"}), 0)
-        << err_;
-    EXPECT_NE(out_.find("member-11\tmaybe-in-set"), std::string::npos);
-  }
-
-  EXPECT_EQ(Run({"build", "--positives", positives_path_, "--out",
-                 filter_path_, "--snapshot-format", "sideways"}),
-            1);
-  EXPECT_NE(err_.find("bad --snapshot-format value 'sideways'"),
-            std::string::npos)
-      << err_;
-}
-
 TEST_F(CliTest, InspectDumpsSectionTableAndFlagsCorruption) {
   ASSERT_EQ(Run({"build", "--positives", positives_path_, "--out",
                  filter_path_, "--shards", "4", "--routing", "two-choice"}),
@@ -586,22 +434,20 @@ TEST_F(CliTest, InspectDumpsSectionTableAndFlagsCorruption) {
 }
 
 TEST_F(CliTest, InspectIdentifiesLegacyFormatsByMagic) {
-  // Two-choice legacy → SHR2; single-filter legacy → HABF.
-  ASSERT_EQ(Run({"build", "--positives", positives_path_, "--out",
-                 filter_path_, "--shards", "4", "--routing", "two-choice",
-                 "--snapshot-format", "legacy"}),
-            0)
+  // The committed golden fixtures are the only legacy snapshots left.
+  const std::string data_dir = HABF_TEST_DATA_DIR;
+  ASSERT_EQ(Run({"inspect", data_dir + "/shr2_two_choice_v2.snapshot"}), 0)
       << err_;
-  ASSERT_EQ(Run({"inspect", filter_path_}), 0) << err_;
   EXPECT_NE(out_.find("legacy SHR2 two-choice sharded snapshot"),
             std::string::npos)
       << out_;
-
-  ASSERT_EQ(Run({"build", "--positives", positives_path_, "--out",
-                 filter_path_, "--snapshot-format", "legacy"}),
-            0)
+  ASSERT_EQ(Run({"inspect", data_dir + "/shrd_uniform_v1.snapshot"}), 0)
       << err_;
-  ASSERT_EQ(Run({"inspect", filter_path_}), 0) << err_;
+  EXPECT_NE(out_.find("legacy SHRD uniform sharded snapshot"),
+            std::string::npos)
+      << out_;
+  ASSERT_EQ(Run({"inspect", data_dir + "/habf_legacy_v1.snapshot"}), 0)
+      << err_;
   EXPECT_NE(out_.find("legacy HABF filter snapshot"), std::string::npos)
       << out_;
 
@@ -612,39 +458,6 @@ TEST_F(CliTest, InspectIdentifiesLegacyFormatsByMagic) {
 
   EXPECT_EQ(Run({"inspect"}), 1);
   EXPECT_NE(err_.find("inspect requires a snapshot path"), std::string::npos);
-}
-
-TEST_F(CliTest, ServeSimWalDirSurvivesKillRecover) {
-  const std::string wal_dir = dir_ + "/wal";
-  ASSERT_EQ(Run({"serve-sim", "--positives", positives_path_, "--negatives",
-                 negatives_path_, "--shards", "4", "--threads", "2",
-                 "--rebuilds", "2", "--batch", "256", "--mutate-rate", "0.25",
-                 "--wal-dir", wal_dir, "--kill-recover"}),
-            0)
-      << err_;
-  EXPECT_NE(out_.find("serve-sim recover:"), std::string::npos) << out_;
-  EXPECT_NE(out_.find("zero_false_negatives=ok"), std::string::npos) << out_;
-  EXPECT_TRUE(std::filesystem::exists(wal_dir + "/snapshot.habf"));
-  // The wire phase: 16 inserts + 1 remove acknowledged over the socket, a
-  // graceful drain, then a full member sweep through a fresh server over
-  // the *recovered* filter — every wire-acked mutation survived the kill.
-  EXPECT_NE(out_.find("serve-sim wire: mutations_acked=17 drain=ok"),
-            std::string::npos)
-      << out_;
-  EXPECT_NE(out_.find("recovered_members_verified="), std::string::npos)
-      << out_;
-}
-
-TEST_F(CliTest, ServeSimWalFlagsRejectMisuse) {
-  EXPECT_EQ(Run({"serve-sim", "--positives", positives_path_, "--mutate-rate",
-                 "0.1", "--kill-recover"}),
-            1);
-  EXPECT_NE(err_.find("--kill-recover requires --wal-dir"), std::string::npos)
-      << err_;
-  EXPECT_EQ(Run({"serve-sim", "--positives", positives_path_, "--wal-dir",
-                 dir_ + "/wal"}),
-            1);
-  EXPECT_NE(err_.find("require --mutate-rate"), std::string::npos) << err_;
 }
 
 TEST_F(CliTest, ServeStaticSnapshotAnswersOverTheWire) {
@@ -784,25 +597,20 @@ TEST_F(CliTest, StatsFlagMisuseIsRejected) {
   EXPECT_NE(err_.find("stats: "), std::string::npos) << err_;
 }
 
-TEST_F(CliTest, ServeDynamicWalDirAcceptsWireMutations) {
-  // serve-sim seeds the WAL directory (snapshot + durable delta log);
-  // `serve --wal-dir` then recovers it and accepts wire mutations.
-  const std::string wal_dir = dir_ + "/serve_wal";
-  ASSERT_EQ(Run({"serve-sim", "--positives", positives_path_, "--shards", "2",
-                 "--rebuilds", "1", "--batch", "256", "--mutate-rate", "0.25",
-                 "--wal-dir", wal_dir}),
-            0)
-      << err_;
-
-  const std::string port_path = dir_ + "/serve_wal_port.txt";
-  std::string serve_out, serve_err;
-  int serve_rc = -1;
+/// Runs `serve --wal-dir` on a thread for `duration_ms`, waits for its port
+/// file, and plays client through `client_body` (which returns "" or a
+/// failure description). Returns the client failure, if any.
+std::string ServeWalDirOnce(
+    const std::string& wal_dir, const std::string& port_path,
+    const char* duration_ms,
+    const std::function<std::string(net::BlockingClient*)>& client_body,
+    int* serve_rc, std::string* serve_out, std::string* serve_err) {
+  std::remove(port_path.c_str());
   std::thread server_thread([&] {
-    serve_rc = RunCli({"serve", "--wal-dir", wal_dir, "--port-file",
-                       port_path, "--duration-ms", "2500"},
-                      &serve_out, &serve_err);
+    *serve_rc = RunCli({"serve", "--wal-dir", wal_dir, "--port-file",
+                        port_path, "--duration-ms", duration_ms},
+                       serve_out, serve_err);
   });
-
   uint16_t port = 0;
   for (int i = 0; i < 1000 && port == 0; ++i) {
     std::string bytes;
@@ -812,36 +620,93 @@ TEST_F(CliTest, ServeDynamicWalDirAcceptsWireMutations) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-
   std::string client_failure;
-  std::vector<uint8_t> answers;
   if (port == 0) {
-    client_failure = "port file never appeared: " + serve_err;
+    client_failure = "port file never appeared";
   } else {
     net::BlockingClient client;
     std::string net_error;
-    const std::vector<std::string_view> fresh = {"serve-wire-inserted-key"};
     if (!client.Connect("127.0.0.1", port, &net_error)) {
       client_failure = "connect: " + net_error;
-    } else if (!client.Mutate(/*insert=*/true,
-                              KeySpan(fresh.data(), fresh.size()),
-                              &net_error)) {
-      client_failure = "insert: " + net_error;
-    } else if (!client.Query(KeySpan(fresh.data(), fresh.size()), &answers,
-                             &net_error)) {
-      client_failure = "query: " + net_error;
+    } else {
+      client_failure = client_body(&client);
     }
   }
   server_thread.join();
+  return client_failure;
+}
 
+TEST_F(CliTest, ServeDynamicWalDirAcceptsWireMutations) {
+  // `build --wal-dir` seeds the durability directory (checkpoint snapshot +
+  // delta WAL); `serve --wal-dir` then recovers it and accepts wire
+  // mutations, and a restarted server recovers them from the WAL.
+  const std::string wal_dir = dir_ + "/serve_wal";
+  ASSERT_EQ(Run({"build", "--positives", positives_path_, "--negatives",
+                 negatives_path_, "--shards", "2", "--wal-dir", wal_dir}),
+            0)
+      << err_;
+  EXPECT_NE(out_.find("built durable " + wal_dir), std::string::npos)
+      << out_;
+  EXPECT_TRUE(std::filesystem::exists(wal_dir + "/snapshot.habf"));
+
+  const std::string port_path = dir_ + "/serve_wal_port.txt";
+  const std::vector<std::string_view> fresh = {"serve-wire-inserted-key",
+                                               "member-7"};
+  std::vector<uint8_t> answers;
+  std::string serve_out, serve_err;
+  int serve_rc = -1;
+  std::string client_failure = ServeWalDirOnce(
+      wal_dir, port_path, "2500",
+      [&](net::BlockingClient* client) -> std::string {
+        std::string net_error;
+        if (!client->Mutate(/*insert=*/true, KeySpan(fresh.data(), 1),
+                            &net_error)) {
+          return "insert: " + net_error;
+        }
+        if (!client->Query(KeySpan(fresh.data(), fresh.size()), &answers,
+                           &net_error)) {
+          return "query: " + net_error;
+        }
+        return "";
+      },
+      &serve_rc, &serve_out, &serve_err);
   ASSERT_EQ(client_failure, "") << serve_err;
   EXPECT_EQ(serve_rc, 0) << serve_err;
-  ASSERT_EQ(answers.size(), 1u);
+  ASSERT_EQ(answers.size(), 2u);
   EXPECT_EQ(answers[0], 1);  // the wire insert is immediately queryable
+  EXPECT_EQ(answers[1], 1);  // a build-time member
   EXPECT_NE(serve_out.find("serving dynamic filter on 127.0.0.1:"),
             std::string::npos)
       << serve_out;
   EXPECT_NE(serve_out.find("keys_mutated=1"), std::string::npos) << serve_out;
+
+  // Restart: the acknowledged wire insert survives through WAL replay.
+  answers.clear();
+  serve_out.clear();
+  serve_err.clear();
+  serve_rc = -1;
+  client_failure = ServeWalDirOnce(
+      wal_dir, port_path, "1500",
+      [&](net::BlockingClient* client) -> std::string {
+        std::string net_error;
+        if (!client->Query(KeySpan(fresh.data(), fresh.size()), &answers,
+                           &net_error)) {
+          return "query: " + net_error;
+        }
+        return "";
+      },
+      &serve_rc, &serve_out, &serve_err);
+  ASSERT_EQ(client_failure, "") << serve_err;
+  EXPECT_EQ(serve_rc, 0) << serve_err;
+  ASSERT_EQ(answers.size(), 2u);
+  EXPECT_EQ(answers[0], 1) << "the wire insert was lost across a restart";
+  EXPECT_EQ(answers[1], 1);
+
+  // Reseeding a live directory is refused: its WAL would replay on top.
+  EXPECT_EQ(Run({"build", "--positives", positives_path_, "--wal-dir",
+                 wal_dir}),
+            1);
+  EXPECT_NE(err_.find("is not empty"), std::string::npos) << err_;
 }
 
 TEST_F(CliTest, ServeFlagsRejectMisuse) {

@@ -383,16 +383,11 @@ TEST(DynamicFilterTest, ConcurrentReadersDuringCompactions) {
 }
 
 TEST(DynamicFilterTest, SharedQueryPoolDuringCompactions) {
-  // Pooled ContainsBatch fan-out on the published bases while compactions
-  // hot-swap them — the pool outlives the filter per the SetQueryPool
-  // contract (declared first, destroyed last).
-  ThreadPool pool(2);
+  // Batched readers on the published bases while compactions hot-swap them
+  // through the filter's shared rebuild pool.
   const auto positives = MakeKeys("base-", 5000);
-  DynamicOptions dynamic = EagerCompaction();
-  dynamic.query_pool = &pool;
-  dynamic.query_pool_threshold = 1;  // every batch fans out
   DynamicShardedHabf filter(positives, {}, SmallOptions(), FourShards(),
-                            dynamic);
+                            EagerCompaction());
   std::atomic<bool> stop{false};
   std::atomic<bool> failed{false};
   std::thread reader([&] {
@@ -439,10 +434,18 @@ TEST(DynamicFilterTest, BackgroundCompactionDrainsWithoutFalseNegatives) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
-  // Deterministic finish: drain whatever the background thread hasn't.
+  // Deterministic finish: one more pass over whatever the background thread
+  // left. A pass rebuilds only shards above the threshold, so a shard left
+  // with a few keys (3 of a 300-key shard is 0.01) is correctly skipped and
+  // the delta need not be empty; the contract's postcondition is that no
+  // shard is above the threshold. DeltaFullyDrainedAtThresholdZero covers
+  // the full drain.
   filter.StopBackgroundCompaction();
   filter.CompactDirtyShards();
-  EXPECT_EQ(filter.delta_size(), 0u);
+  for (size_t s = 0; s < filter.num_shards(); ++s) {
+    EXPECT_LE(filter.dirty_fraction(s), dynamic.dirty_fraction_threshold)
+        << "shard " << s;
+  }
   for (const auto& key : members) {
     ASSERT_TRUE(filter.MightContain(key)) << key;
   }

@@ -3,20 +3,15 @@
 // Small legacy-format snapshots are committed under tests/data/ next to the
 // exact key lists they were built from. These tests prove the legacy SHRD /
 // SHR2 / HABF readers load those bytes bit-exact FOREVER: the fixture
-// deserializes, answers every fixture key, and re-serializing with
-// SnapshotFormat::kLegacy reproduces the committed bytes exactly. Any change
-// that breaks one of these assertions is a format break, not a refactor.
-//
-// Regenerating fixtures (only when *adding* a fixture — never to paper over
-// a failing gate): run this binary with HABF_REGEN_FIXTURES=1 in the
-// environment; it rebuilds the filters deterministically, rewrites
-// tests/data/, and then runs the same assertions against the fresh bytes.
+// deserializes, answers every fixture key, and the HBF1 bytes of the decoded
+// filter equal the HBF1 bytes of a fresh deterministic build from the same
+// keys. Any change that breaks one of these assertions is a format break,
+// not a refactor. Only the readers remain; nothing in the tree can write a
+// legacy snapshot, so the fixtures are never regenerated.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -35,20 +30,6 @@ std::string DataPath(const std::string& name) {
   return std::string(HABF_TEST_DATA_DIR) + "/" + name;
 }
 
-bool RegenRequested() {
-  const char* env = std::getenv("HABF_REGEN_FIXTURES");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-std::vector<std::string> FixtureKeys(const char* prefix, size_t n) {
-  std::vector<std::string> keys;
-  keys.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    keys.push_back(std::string(prefix) + std::to_string(i));
-  }
-  return keys;
-}
-
 std::vector<WeightedKey> FixtureNegatives(const char* prefix, size_t n) {
   std::vector<WeightedKey> negatives;
   negatives.reserve(n);
@@ -59,17 +40,9 @@ std::vector<WeightedKey> FixtureNegatives(const char* prefix, size_t n) {
   return negatives;
 }
 
-void WriteKeyList(const std::string& path,
-                  const std::vector<std::string>& keys) {
-  std::ofstream out(path, std::ios::trunc);
-  ASSERT_TRUE(out.good()) << path;
-  for (const auto& key : keys) out << key << "\n";
-}
-
 std::vector<std::string> ReadKeyList(const std::string& path) {
   std::ifstream in(path);
-  EXPECT_TRUE(in.good()) << "missing fixture key list " << path
-                         << " (run with HABF_REGEN_FIXTURES=1 to create)";
+  EXPECT_TRUE(in.good()) << "missing fixture key list " << path;
   std::vector<std::string> keys;
   std::string line;
   while (std::getline(in, line)) {
@@ -85,8 +58,8 @@ HabfOptions FixtureOptions() {
   return options;
 }
 
-/// Builds the fixture filter for `routing` deterministically (single
-/// thread, fixed seed/salt) — used only by the regeneration path.
+/// The fixture filter for `routing`, rebuilt deterministically (single
+/// thread, fixed seed and salt) from the fixture keys.
 ShardedFilter<Habf> BuildFixtureFilter(RoutingMode routing,
                                        const std::vector<std::string>& keys) {
   ShardedBuildOptions sharding;
@@ -97,25 +70,21 @@ ShardedFilter<Habf> BuildFixtureFilter(RoutingMode routing,
                           FixtureOptions(), sharding);
 }
 
-/// Regenerates `<stem>.snapshot` + `<stem>.keys` if HABF_REGEN_FIXTURES is
-/// set, then loads both back from disk.
-void LoadFixture(const std::string& stem, RoutingMode routing,
-                 std::string* bytes, std::vector<std::string>* keys) {
+/// Reads `<stem>.snapshot` and `<stem>.keys` from tests/data/.
+void LoadFixture(const std::string& stem, std::string* bytes,
+                 std::vector<std::string>* keys) {
   const std::string snapshot_path = DataPath(stem + ".snapshot");
-  const std::string keys_path = DataPath(stem + ".keys");
-  if (RegenRequested()) {
-    auto fresh_keys = FixtureKeys("compat-key-", 128);
-    const auto filter = BuildFixtureFilter(routing, fresh_keys);
-    std::string fresh;
-    filter.Serialize(&fresh, SnapshotFormat::kLegacy);
-    ASSERT_TRUE(WriteFileBytes(snapshot_path, fresh));
-    WriteKeyList(keys_path, fresh_keys);
-  }
   ASSERT_TRUE(ReadFileBytes(snapshot_path, bytes))
-      << "missing fixture " << snapshot_path
-      << " (run with HABF_REGEN_FIXTURES=1 to create)";
-  *keys = ReadKeyList(keys_path);
+      << "missing fixture " << snapshot_path;
+  *keys = ReadKeyList(DataPath(stem + ".keys"));
   ASSERT_FALSE(keys->empty());
+}
+
+template <typename F>
+std::string Hbf1Bytes(const F& filter) {
+  std::string bytes;
+  filter.Serialize(&bytes);
+  return bytes;
 }
 
 uint32_t MagicOf(const std::string& bytes) {
@@ -131,25 +100,22 @@ void ExpectLoadsBitExact(const std::string& bytes,
   for (const auto& key : keys) {
     EXPECT_TRUE(filter->MightContain(key)) << key;
   }
-  // Bit-exact forever: the legacy writer must reproduce the fixture.
-  std::string reserialized;
-  filter->Serialize(&reserialized, SnapshotFormat::kLegacy);
-  EXPECT_EQ(reserialized, bytes) << "legacy re-serialization drifted";
-  // And the migration path works: the same state round-trips through HBF1.
-  std::string hbf1;
-  filter->Serialize(&hbf1, SnapshotFormat::kHbf1);
+  // Bit-exact forever: nothing was lost in decoding, since the decoded
+  // filter encodes to the same HBF1 bytes as a fresh build of the fixture.
+  const std::string hbf1 = Hbf1Bytes(*filter);
   ASSERT_TRUE(SectionReader::LooksLikeContainer(hbf1));
+  EXPECT_EQ(hbf1, Hbf1Bytes(BuildFixtureFilter(expected_routing, keys)))
+      << "legacy decoding drifted from a fresh build";
+  // And the migration path works: the same state round-trips through HBF1.
   const auto migrated = ShardedFilter<Habf>::Deserialize(hbf1);
   ASSERT_TRUE(migrated.has_value());
-  for (const auto& key : keys) {
-    EXPECT_TRUE(migrated->MightContain(key)) << key;
-  }
+  EXPECT_EQ(Hbf1Bytes(*migrated), hbf1);
 }
 
 TEST(FormatCompat, ShrdUniformFixtureLoadsBitExact) {
   std::string bytes;
   std::vector<std::string> keys;
-  LoadFixture("shrd_uniform_v1", RoutingMode::kUniform, &bytes, &keys);
+  LoadFixture("shrd_uniform_v1", &bytes, &keys);
   ASSERT_EQ(MagicOf(bytes), kShardedSnapshotMagic);
   EXPECT_FALSE(SectionReader::LooksLikeContainer(bytes));
   ExpectLoadsBitExact(bytes, keys, RoutingMode::kUniform);
@@ -158,45 +124,30 @@ TEST(FormatCompat, ShrdUniformFixtureLoadsBitExact) {
 TEST(FormatCompat, Shr2TwoChoiceFixtureLoadsBitExact) {
   std::string bytes;
   std::vector<std::string> keys;
-  LoadFixture("shr2_two_choice_v2", RoutingMode::kTwoChoice, &bytes, &keys);
+  LoadFixture("shr2_two_choice_v2", &bytes, &keys);
   ASSERT_EQ(MagicOf(bytes), kShardedSnapshotMagicV2);
   EXPECT_FALSE(SectionReader::LooksLikeContainer(bytes));
   ExpectLoadsBitExact(bytes, keys, RoutingMode::kTwoChoice);
 }
 
 TEST(FormatCompat, HabfLegacyFixtureLoadsBitExact) {
-  const std::string snapshot_path = DataPath("habf_legacy_v1.snapshot");
-  const std::string keys_path = DataPath("habf_legacy_v1.keys");
-  if (RegenRequested()) {
-    auto fresh_keys = FixtureKeys("compat-key-", 128);
-    const Habf filter =
-        Habf::Build(fresh_keys, FixtureNegatives("compat-neg-", 64),
-                    FixtureOptions());
-    std::string fresh;
-    filter.Serialize(&fresh, SnapshotFormat::kLegacy);
-    ASSERT_TRUE(WriteFileBytes(snapshot_path, fresh));
-    WriteKeyList(keys_path, fresh_keys);
-  }
   std::string bytes;
-  ASSERT_TRUE(ReadFileBytes(snapshot_path, &bytes))
-      << "missing fixture " << snapshot_path
-      << " (run with HABF_REGEN_FIXTURES=1 to create)";
-  const std::vector<std::string> keys = ReadKeyList(keys_path);
-  ASSERT_FALSE(keys.empty());
+  std::vector<std::string> keys;
+  LoadFixture("habf_legacy_v1", &bytes, &keys);
   EXPECT_FALSE(SectionReader::LooksLikeContainer(bytes));
 
   const auto filter = Habf::Deserialize(bytes);
   ASSERT_TRUE(filter.has_value());
   for (const auto& key : keys) EXPECT_TRUE(filter->Contains(key)) << key;
-  std::string reserialized;
-  filter->Serialize(&reserialized, SnapshotFormat::kLegacy);
-  EXPECT_EQ(reserialized, bytes) << "legacy re-serialization drifted";
-  std::string hbf1;
-  filter->Serialize(&hbf1, SnapshotFormat::kHbf1);
+  const std::string hbf1 = Hbf1Bytes(*filter);
   ASSERT_TRUE(SectionReader::LooksLikeContainer(hbf1));
+  EXPECT_EQ(hbf1, Hbf1Bytes(Habf::Build(
+                      keys, FixtureNegatives("compat-neg-", 64),
+                      FixtureOptions())))
+      << "legacy decoding drifted from a fresh build";
   const auto migrated = Habf::Deserialize(hbf1);
   ASSERT_TRUE(migrated.has_value());
-  for (const auto& key : keys) EXPECT_TRUE(migrated->Contains(key)) << key;
+  EXPECT_EQ(Hbf1Bytes(*migrated), hbf1);
 }
 
 }  // namespace
