@@ -998,13 +998,14 @@ std::vector<Habf> BuildShardedCopyingReference(
     const std::vector<std::string>& positives,
     const std::vector<WeightedKey>& negatives, const HabfOptions& options,
     size_t num_shards, uint64_t salt, size_t* partition_bytes) {
+  const RoutingDirectory routing = RoutingDirectory::Uniform(num_shards);
   std::vector<std::vector<std::string>> shard_positives(num_shards);
   std::vector<std::vector<WeightedKey>> shard_negatives(num_shards);
   for (const std::string& key : positives) {
-    shard_positives[ShardOfKey(key, salt, num_shards)].push_back(key);
+    shard_positives[routing.ShardOf(key, salt)].push_back(key);
   }
   for (const WeightedKey& wk : negatives) {
-    shard_negatives[ShardOfKey(wk.key, salt, num_shards)].push_back(wk);
+    shard_negatives[routing.ShardOf(wk.key, salt)].push_back(wk);
   }
   *partition_bytes = 0;
   std::vector<size_t> pos_counts(num_shards);

@@ -367,6 +367,10 @@ WalReplayResult ReplayWalDir(const std::string& dir, uint64_t min_epoch,
   return result;
 }
 
+bool HasWalFiles(const std::string& dir) {
+  return !ListWalFiles(dir).empty();
+}
+
 size_t RemoveWalFilesBelow(const std::string& dir, uint64_t keep_epoch) {
   size_t removed = 0;
   for (const auto& [epoch, path] : ListWalFiles(dir)) {

@@ -168,6 +168,9 @@ struct WalReplayResult {
 WalReplayResult ReplayWalDir(const std::string& dir, uint64_t min_epoch,
                              uint64_t min_seq);
 
+/// True if `dir` holds at least one WAL epoch file.
+bool HasWalFiles(const std::string& dir);
+
 /// Deletes every WAL file in `dir` with epoch < `keep_epoch` (checkpoint
 /// garbage collection; called only after the referencing snapshot is
 /// durable). Returns the number of files removed.

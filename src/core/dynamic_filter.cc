@@ -83,7 +83,6 @@ DynamicShardedHabf::DynamicShardedHabf(std::vector<std::string> positives,
           ComputeCompactionThreads(dynamic_options_, sharding.num_shards)) {
   ShardedFilter<Habf> filter =
       BuildShardedHabf(positives, negatives, options, sharding);
-  num_shards_ = filter.num_shards();
   salt_ = filter.salt();
   directory_ = filter.directory();
   bits_per_key_ = positives.empty()
@@ -91,9 +90,9 @@ DynamicShardedHabf::DynamicShardedHabf(std::vector<std::string> positives,
                       : static_cast<double>(options.total_bits) /
                             static_cast<double>(positives.size());
 
-  shard_keys_.resize(num_shards_);
-  shard_negatives_.resize(num_shards_);
-  dirty_.assign(num_shards_, 0);
+  shard_keys_.resize(num_shards());
+  shard_negatives_.resize(num_shards());
+  dirty_.assign(num_shards(), 0);
   for (std::string& key : positives) {
     const size_t s = ShardOf(key);
     shard_keys_[s].insert(std::move(key));
@@ -108,21 +107,10 @@ DynamicShardedHabf::DynamicShardedHabf(std::vector<std::string> positives,
 
 DynamicShardedHabf::~DynamicShardedHabf() { StopBackgroundCompaction(); }
 
-size_t DynamicShardedHabf::ShardOf(std::string_view key) const {
-  if (directory_.empty()) return ShardOfKey(key, salt_, num_shards_);
-  return directory_.bucket_to_shard[RoutingBucketOfKey(
-      key, salt_, directory_.num_buckets())];
-}
-
-size_t DynamicShardedHabf::ShardOfLocked(std::string_view key) const {
-  // Routing state is immutable after construction; no lock actually needed.
-  return ShardOf(key);
-}
-
 size_t DynamicShardedHabf::ApplyMutationLocked(std::string_view key,
                                                bool inserted,
                                                bool count_stats) {
-  const size_t shard = ShardOfLocked(key);
+  const size_t shard = ShardOf(key);
   // try_emplace: one hash walk and one string construction, instead of
   // the find(std::string(key)) + emplace(std::string(key), ...) double
   // lookup this used to do (PR-7 perf sweep; semantics pinned by
@@ -305,13 +293,13 @@ size_t DynamicShardedHabf::delta_size() const {
 }
 
 size_t DynamicShardedHabf::dirty_keys(size_t shard) const {
-  assert(shard < num_shards_);
+  assert(shard < num_shards());
   ReaderLock lock(delta_mutex_);
   return dirty_[shard];
 }
 
 double DynamicShardedHabf::dirty_fraction(size_t shard) const {
-  assert(shard < num_shards_);
+  assert(shard < num_shards());
   ReaderLock lock(delta_mutex_);
   const size_t denom = std::max<size_t>(1, shard_keys_[shard].size());
   return static_cast<double>(dirty_[shard]) / static_cast<double>(denom);
@@ -341,8 +329,8 @@ CompactionReport DynamicShardedHabf::CompactDirtyShards() {
   std::vector<ShardRebuild> rebuilds;
   {
     ReaderLock lock(delta_mutex_);
-    std::vector<uint8_t> dirty_shard(num_shards_, 0);
-    for (size_t s = 0; s < num_shards_; ++s) {
+    std::vector<uint8_t> dirty_shard(num_shards(), 0);
+    for (size_t s = 0; s < num_shards(); ++s) {
       const size_t denom = std::max<size_t>(1, shard_keys_[s].size());
       const double fraction =
           static_cast<double>(dirty_[s]) / static_cast<double>(denom);
@@ -352,8 +340,8 @@ CompactionReport DynamicShardedHabf::CompactDirtyShards() {
         dirty_shard[s] = 1;
       }
     }
-    std::vector<size_t> rebuild_index(num_shards_, SIZE_MAX);
-    for (size_t s = 0; s < num_shards_; ++s) {
+    std::vector<size_t> rebuild_index(num_shards(), SIZE_MAX);
+    for (size_t s = 0; s < num_shards(); ++s) {
       if (!dirty_shard[s]) continue;
       rebuild_index[s] = rebuilds.size();
       rebuilds.emplace_back();
@@ -398,7 +386,7 @@ CompactionReport DynamicShardedHabf::CompactDirtyShards() {
                                 static_cast<double>(rb.keys.size())));
     rb.opts.seed = Fmix64(base_options_.seed ^
                           (0x9E3779B97F4A7C15ULL *
-                           (compaction_epoch_ * num_shards_ + rb.shard + 1)));
+                           (compaction_epoch_ * num_shards() + rb.shard + 1)));
   }
   // Launch after every ShardRebuild is in place: the async spans view the
   // keys/negatives vectors above, which no longer move.
@@ -421,7 +409,7 @@ CompactionReport DynamicShardedHabf::CompactDirtyShards() {
     new_shards.push_back(std::move(built.front()));
   }
   std::vector<Habf> shards;
-  shards.reserve(num_shards_);
+  shards.reserve(num_shards());
   {
     // The token scope proves at compile time that this FilterStore pin is
     // released before the publish+drain writer section below — a pin is
@@ -429,7 +417,7 @@ CompactionReport DynamicShardedHabf::CompactDirtyShards() {
     TokenLock base_order(base_acquire_order_);
     const auto snap = base_.Acquire();
     size_t next_rebuilt = 0;
-    for (size_t s = 0; s < num_shards_; ++s) {
+    for (size_t s = 0; s < num_shards(); ++s) {
       if (next_rebuilt < rebuilds.size() &&
           rebuilds[next_rebuilt].shard == s) {
         shards.push_back(std::move(new_shards[next_rebuilt]));
@@ -491,6 +479,16 @@ bool DynamicShardedHabf::EnableDurability(const std::string& dir,
   {
     WriterLock lock(delta_mutex_);
     if (wal_ != nullptr) return true;  // already durable — idempotent
+    // Another filter's state would be replayed over this one by Open().
+    struct stat snapshot_stat;
+    if (::stat(DynamicSnapshotPath(dir).c_str(), &snapshot_stat) == 0 ||
+        HasWalFiles(dir)) {
+      if (error != nullptr) {
+        *error = dir + " already holds a checkpoint or WAL epochs "
+                       "(DynamicShardedHabf::Open recovers it)";
+      }
+      return false;
+    }
     ::mkdir(dir.c_str(), 0777);  // best effort; Open below reports failures
     std::unique_ptr<DeltaWalWriter> wal = DeltaWalWriter::Open(dir, 1, 1);
     if (wal == nullptr) {
@@ -562,7 +560,7 @@ bool DynamicShardedHabf::CheckpointLocked(std::string* error) {
   {
     BinaryWriter writer(&config_payload);
     writer.WriteU64(salt_);
-    writer.WriteU32(static_cast<uint32_t>(num_shards_));
+    writer.WriteU32(static_cast<uint32_t>(num_shards()));
     writer.WriteDouble(bits_per_key_);
     writer.WriteU64(base_options_.total_bits);
     writer.WriteDouble(base_options_.delta);
@@ -584,8 +582,8 @@ bool DynamicShardedHabf::CheckpointLocked(std::string* error) {
   std::string keys_payload;
   {
     BinaryWriter writer(&keys_payload);
-    writer.WriteU32(static_cast<uint32_t>(num_shards_));
-    for (size_t s = 0; s < num_shards_; ++s) {
+    writer.WriteU32(static_cast<uint32_t>(num_shards()));
+    for (size_t s = 0; s < num_shards(); ++s) {
       const std::unordered_set<std::string>& keys = ShardKeysUnderCompaction(s);
       writer.WriteU64(keys.size());
       for (const std::string& key : keys) writer.WriteBytes(key);
@@ -594,8 +592,8 @@ bool DynamicShardedHabf::CheckpointLocked(std::string* error) {
   std::string negatives_payload;
   {
     BinaryWriter writer(&negatives_payload);
-    writer.WriteU32(static_cast<uint32_t>(num_shards_));
-    for (size_t s = 0; s < num_shards_; ++s) {
+    writer.WriteU32(static_cast<uint32_t>(num_shards()));
+    for (size_t s = 0; s < num_shards(); ++s) {
       const std::vector<WeightedKey>& negatives =
           ShardNegativesUnderCompaction(s);
       writer.WriteU64(negatives.size());
@@ -609,11 +607,7 @@ bool DynamicShardedHabf::CheckpointLocked(std::string* error) {
   std::string bytes;
   SectionWriter container(&bytes, kDynamicContentTag);
   container.AddSection(kDynamicConfigTag, config_payload);
-  if (!directory_.empty()) {
-    std::string routing_payload;
-    directory_.AppendPayload(&routing_payload);
-    container.AddSection(kDynamicRoutingTag, routing_payload);
-  }
+  WriteRoutingSection(directory_, &container);
   container.AddSection(kDynamicBaseTag, base_payload);
   container.AddSection(kDynamicKeysTag, keys_payload);
   container.AddSection(kDynamicNegativesTag, negatives_payload);
@@ -639,8 +633,7 @@ bool DynamicShardedHabf::CheckpointLocked(std::string* error) {
 
 DynamicShardedHabf::DynamicShardedHabf(RecoveredState state,
                                        const DynamicOptions& dynamic)
-    : num_shards_(state.num_shards),
-      salt_(state.salt),
+    : salt_(state.salt),
       directory_(std::move(state.directory)),
       base_options_(state.base_options),
       bits_per_key_(state.bits_per_key),
@@ -652,7 +645,7 @@ DynamicShardedHabf::DynamicShardedHabf(RecoveredState state,
                     Fmix64(state.base_options.seed ^ kDeltaSeedTag)),
       compaction_pool_(
           ComputeCompactionThreads(dynamic_options_, state.num_shards)) {
-  dirty_.assign(num_shards_, 0);
+  dirty_.assign(num_shards(), 0);
   compaction_epoch_ = state.compaction_epoch;
   base_.Publish(std::move(*state.base));
 }
@@ -708,24 +701,16 @@ bool DynamicShardedHabf::ParseSnapshotBytes(std::string_view bytes,
     out->num_shards = num_shards;
   }
 
-  // The routing section is optional (hash routing writes none) — but
-  // "present and CRC-damaged" must not silently degrade to hash routing,
-  // so presence is checked against the raw section table, not Find().
-  bool routing_present = false;
-  for (const SectionReader::Section& s : container->sections()) {
-    if (s.tag == kDynamicRoutingTag) routing_present = true;
-  }
-  if (routing_present) {
-    const auto routing = section(kDynamicRoutingTag, "RDIR");
-    if (!routing.has_value()) return false;
-    std::optional<RoutingDirectory> directory =
-        RoutingDirectory::ParsePayload(*routing, out->num_shards);
-    if (!directory.has_value()) {
-      if (error != nullptr) *error = "checkpoint section RDIR is malformed";
-      return false;
+  // Absent = uniform routing; present but damaged fails the recovery.
+  std::optional<RoutingDirectory> directory =
+      ReadRoutingSection(*container, out->num_shards);
+  if (!directory.has_value()) {
+    if (error != nullptr) {
+      *error = "checkpoint section RDIR fails its CRC or is malformed";
     }
-    out->directory = std::move(*directory);
+    return false;
   }
+  out->directory = std::move(*directory);
 
   const auto base_payload = section(kDynamicBaseTag, "BASE");
   if (!base_payload.has_value()) return false;

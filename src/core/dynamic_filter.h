@@ -63,7 +63,7 @@ namespace habf {
 /// watermark that tells recovery where WAL replay starts.
 constexpr uint32_t kDynamicContentTag = FourCc("DYNF");
 constexpr uint32_t kDynamicConfigTag = FourCc("DCFG");
-constexpr uint32_t kDynamicRoutingTag = FourCc("RDIR");
+constexpr uint32_t kDynamicRoutingTag = kRoutingSectionTag;
 constexpr uint32_t kDynamicBaseTag = FourCc("BASE");
 constexpr uint32_t kDynamicKeysTag = FourCc("KEYS");
 constexpr uint32_t kDynamicNegativesTag = FourCc("NEGS");
@@ -223,8 +223,10 @@ class DynamicShardedHabf {
   /// Turns on durability rooted at `dir` (created if missing): writes an
   /// initial checkpoint snapshot and opens the delta WAL, after which every
   /// Insert/Remove is framed, CRC'd and fsynced to the log before it
-  /// returns. Idempotent once enabled. False (with *error set) on I/O
-  /// failure — the filter keeps operating memory-only.
+  /// returns. Idempotent once enabled. False (with *error set) if `dir`
+  /// already holds a checkpoint or WAL epochs — Open() would replay that
+  /// state over this filter — or on I/O failure; the filter then keeps
+  /// operating memory-only.
   bool EnableDurability(const std::string& dir, std::string* error = nullptr)
       HABF_EXCLUDES(compaction_mutex_, delta_mutex_);
 
@@ -260,10 +262,12 @@ class DynamicShardedHabf {
 
   // --- introspection ------------------------------------------------------
 
-  size_t num_shards() const { return num_shards_; }
+  size_t num_shards() const { return directory_.num_shards(); }
 
   /// Shard `key` routes to (same salt + directory as the base).
-  size_t ShardOf(std::string_view key) const;
+  size_t ShardOf(std::string_view key) const {
+    return directory_.ShardOf(key, salt_);
+  }
 
   /// Mutated-key entries currently resident in the delta.
   size_t delta_size() const HABF_EXCLUDES(delta_mutex_);
@@ -325,7 +329,6 @@ class DynamicShardedHabf {
   static bool ParseSnapshotBytes(std::string_view bytes, RecoveredState* out,
                                  std::string* error);
 
-  size_t ShardOfLocked(std::string_view key) const;
   void NotifyCompactorIfDirtyLocked(size_t shard)
       HABF_REQUIRES(delta_mutex_) HABF_EXCLUDES(background_mutex_);
   void BackgroundLoop(std::chrono::milliseconds interval)
@@ -375,7 +378,6 @@ class DynamicShardedHabf {
   // Routing state, fixed at construction (the directory never changes —
   // compaction reuses it so inserted keys keep routing to the shard that
   // was rebuilt with them).
-  size_t num_shards_ = 1;
   uint64_t salt_ = kDefaultShardSalt;
   RoutingDirectory directory_;
 

@@ -74,6 +74,25 @@ RoutingDirectory BuildTwoChoiceDirectory(
   return directory;
 }
 
+RoutingDirectory RoutingDirectory::Uniform(size_t num_shards) {
+  assert(num_shards >= 1 && num_shards <= 65536);
+  RoutingDirectory directory;
+  directory.bucket_to_shard.resize(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    directory.bucket_to_shard[s] = static_cast<uint16_t>(s);
+  }
+  directory.shard_weights.assign(num_shards, 0.0);
+  return directory;
+}
+
+bool RoutingDirectory::IsUniform() const {
+  if (bucket_to_shard.size() != shard_weights.size()) return false;
+  for (size_t b = 0; b < bucket_to_shard.size(); ++b) {
+    if (bucket_to_shard[b] != b || shard_weights[b] != 0.0) return false;
+  }
+  return true;
+}
+
 double RoutingDirectory::MaxMeanWeightRatio() const {
   if (shard_weights.empty()) return 1.0;
   double max_weight = 0.0;
@@ -86,65 +105,81 @@ double RoutingDirectory::MaxMeanWeightRatio() const {
   return max_weight / (total / static_cast<double>(shard_weights.size()));
 }
 
-void RoutingDirectory::AppendPayload(std::string* out) const {
-  BinaryWriter writer(out);
-  writer.WriteU32(static_cast<uint32_t>(bucket_to_shard.size()));
-  for (const uint16_t shard : bucket_to_shard) {
-    writer.WriteU8(static_cast<uint8_t>(shard & 0xFF));
-    writer.WriteU8(static_cast<uint8_t>(shard >> 8));
-  }
-  writer.WriteU32(static_cast<uint32_t>(shard_weights.size()));
-  for (const double weight : shard_weights) writer.WriteDouble(weight);
-}
-
-std::optional<RoutingDirectory> RoutingDirectory::ParsePayload(
-    std::string_view payload, size_t expected_shards) {
-  BinaryReader reader(payload);
-  const uint32_t num_buckets = reader.ReadU32();
-  if (!reader.ok() || num_buckets == 0 || num_buckets > kMaxRoutingBuckets ||
-      reader.remaining() < size_t{num_buckets} * 2) {
+std::optional<RoutingDirectory> RoutingDirectory::Read(
+    BinaryReader* reader, size_t expected_shards, bool shard_count_prefixed) {
+  const uint32_t num_buckets = reader->ReadU32();
+  if (!reader->ok() || num_buckets == 0 || num_buckets > kMaxRoutingBuckets ||
+      reader->remaining() < size_t{num_buckets} * 2) {
     return std::nullopt;
   }
   RoutingDirectory directory;
   directory.bucket_to_shard.resize(num_buckets);
   for (uint32_t b = 0; b < num_buckets; ++b) {
-    const uint16_t lo = reader.ReadU8();
-    const uint16_t hi = reader.ReadU8();
+    const uint16_t lo = reader->ReadU8();
+    const uint16_t hi = reader->ReadU8();
     const uint16_t shard = static_cast<uint16_t>(lo | (hi << 8));
     if (shard >= expected_shards) return std::nullopt;
     directory.bucket_to_shard[b] = shard;
   }
-  const uint32_t num_shards = reader.ReadU32();
-  if (!reader.ok() || num_shards != expected_shards ||
-      reader.remaining() != size_t{num_shards} * 8) {
+  if (shard_count_prefixed && reader->ReadU32() != expected_shards) {
     return std::nullopt;
   }
-  directory.shard_weights.resize(num_shards);
-  for (uint32_t s = 0; s < num_shards; ++s) {
-    const double weight = reader.ReadDouble();
-    if (!std::isfinite(weight) || weight < 0.0) return std::nullopt;
-    directory.shard_weights[s] = weight;
+  directory.shard_weights.resize(expected_shards);
+  for (double& weight : directory.shard_weights) {
+    weight = reader->ReadDouble();
+    if (!reader->ok() || !std::isfinite(weight) || weight < 0.0) {
+      return std::nullopt;
+    }
   }
+  return directory;
+}
+
+void WriteRoutingSection(const RoutingDirectory& directory,
+                         SectionWriter* container) {
+  if (directory.IsUniform()) return;
+  std::string payload;
+  BinaryWriter writer(&payload);
+  writer.WriteU32(static_cast<uint32_t>(directory.num_buckets()));
+  for (const uint16_t shard : directory.bucket_to_shard) {
+    writer.WriteU8(static_cast<uint8_t>(shard & 0xFF));
+    writer.WriteU8(static_cast<uint8_t>(shard >> 8));
+  }
+  writer.WriteU32(static_cast<uint32_t>(directory.num_shards()));
+  for (const double weight : directory.shard_weights) {
+    writer.WriteDouble(weight);
+  }
+  container->AddSection(kRoutingSectionTag, payload);
+}
+
+std::optional<RoutingDirectory> ReadRoutingSection(
+    const SectionReader& container, size_t num_shards) {
+  // Presence is decided by the raw section table, not Find(): Find() treats
+  // a CRC-damaged section as absent, which here would mean uniform routing.
+  const auto& sections = container.sections();
+  const bool present =
+      std::any_of(sections.begin(), sections.end(),
+                  [](const SectionReader::Section& section) {
+                    return section.tag == kRoutingSectionTag;
+                  });
+  if (!present) return RoutingDirectory::Uniform(num_shards);
+  const std::optional<std::string_view> payload =
+      container.Find(kRoutingSectionTag);
+  if (!payload.has_value()) return std::nullopt;
+  BinaryReader reader(*payload);
+  std::optional<RoutingDirectory> directory =
+      RoutingDirectory::Read(&reader, num_shards, /*shard_count_prefixed=*/true);
+  if (reader.remaining() != 0) return std::nullopt;
   return directory;
 }
 
 double UniformRoutingMaxMeanRatio(
     const std::vector<std::pair<std::string_view, double>>& weighted_keys,
     uint64_t salt, size_t num_shards) {
-  assert(num_shards >= 1);
-  std::vector<double> shard_weights(num_shards, 0.0);
+  RoutingDirectory uniform = RoutingDirectory::Uniform(num_shards);
   for (const auto& [key, weight] : weighted_keys) {
-    shard_weights[static_cast<size_t>(
-        XxHash64(key.data(), key.size(), salt) % num_shards)] += weight;
+    uniform.shard_weights[uniform.ShardOf(key, salt)] += weight;
   }
-  double max_weight = 0.0;
-  double total = 0.0;
-  for (const double w : shard_weights) {
-    max_weight = std::max(max_weight, w);
-    total += w;
-  }
-  if (total <= 0.0) return 1.0;
-  return max_weight / (total / static_cast<double>(num_shards));
+  return uniform.MaxMeanWeightRatio();
 }
 
 }  // namespace habf

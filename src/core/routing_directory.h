@@ -1,17 +1,19 @@
-// Skew-aware shard routing (DESIGN.md §6): a compact bucket→shard directory
-// built with power-of-two-choices placement.
+// Shard routing (DESIGN.md §6): every key finds its shard through a compact
+// bucket→shard directory, and this is the only routing function there is:
 //
-// The uniform routing hash (ShardOfKey) balances shard *key counts* but is
+//   bucket   = XxHash64(key, salt) % num_buckets     (RoutingBucketOfKey)
+//   shard    = directory.bucket_to_shard[bucket]     (RoutingDirectory::ShardOf)
+//
+// Uniform routing is the identity directory (RoutingDirectory::Uniform): one
+// bucket per shard, bucket b → shard b, so a key lands on
+// XxHash64(key, salt) % num_shards. That balances shard *key counts* but is
 // blind to key weight: under a Zipf-weighted or adversarial single-hot-key
 // set, whichever shard the heavy keys happen to hash into carries an outsized
 // share of the cost mass, degrading that shard's bits-per-key. The classic
 // balls-into-bins result says assigning each ball to the lighter of two
 // random bins bounds the maximum load exponentially tighter than one random
-// choice — this module applies it at *bucket* granularity so query routing
-// stays a single O(1) table lookup:
-//
-//   bucket   = XxHash64(key, salt) % num_buckets     (RoutingBucketOfKey)
-//   shard    = directory.bucket_to_shard[bucket]
+// choice — the two-choice directory applies it at *bucket* granularity, so
+// query routing stays the same single O(1) table lookup.
 //
 // At build time every bucket accumulates the cumulative weight of its keys
 // (1.0 per positive, Θ(e) per weighted negative), then buckets are assigned
@@ -22,8 +24,9 @@
 // floor is negligible unless a single key carries more than a shard's fair
 // share of the total weight.
 //
-// The directory is persisted verbatim in the SHR2 sharded snapshot
-// (core/sharded_filter.h) so a restored filter routes identically.
+// The directory is persisted as the RDIR section of the sharded and dynamic
+// HBF1 snapshots (WriteRoutingSection / ReadRoutingSection), omitted when it
+// is the uniform one, so a restored filter routes identically.
 
 #pragma once
 
@@ -36,6 +39,7 @@
 #include <vector>
 
 #include "hashing/xxhash.h"
+#include "util/serde.h"
 
 namespace habf {
 
@@ -48,9 +52,12 @@ constexpr size_t kDefaultRoutingBuckets = 4096;
 /// larger is a corrupt or hostile file, not a real deployment.
 constexpr size_t kMaxRoutingBuckets = size_t{1} << 20;
 
-/// Routing bucket of `key` under `salt`. Uses the same hash stream as the
-/// uniform ShardOfKey (only the modulus differs), so two-choice routing
-/// inherits its independence from every filter-internal probe hash.
+/// HBF1 section tag of a persisted routing directory, shared by the sharded
+/// (SHRD) and dynamic (DYNF) snapshots.
+constexpr uint32_t kRoutingSectionTag = FourCc("RDIR");
+
+/// Routing bucket of `key` under `salt`: a hash stream independent of every
+/// filter-internal probe hash.
 inline size_t RoutingBucketOfKey(std::string_view key, uint64_t salt,
                                  size_t num_buckets) {
   return static_cast<size_t>(XxHash64(key.data(), key.size(), salt) %
@@ -63,9 +70,9 @@ inline size_t RoutingBucketOfKey(std::string_view key, uint64_t salt,
 std::pair<uint32_t, uint32_t> TwoChoiceCandidates(size_t bucket, uint64_t salt,
                                                   size_t num_shards);
 
-/// A persisted bucket→shard routing table plus the per-shard cumulative
-/// weights it was balanced against (kept for the stats routing-balance
-/// report; queries only read bucket_to_shard).
+/// A bucket→shard routing table plus the per-shard cumulative weights it was
+/// balanced against (kept for the stats routing-balance report; queries only
+/// read bucket_to_shard).
 struct RoutingDirectory {
   /// One shard id per bucket; entries are < shard_weights.size(). 16-bit:
   /// the snapshot bound kMaxSnapshotShards (4096) fits with headroom.
@@ -73,28 +80,55 @@ struct RoutingDirectory {
   /// Cumulative routed key weight per shard at build time.
   std::vector<double> shard_weights;
 
-  bool empty() const { return bucket_to_shard.empty(); }
+  /// The uniform directory over `num_shards` shards: bucket b routes to
+  /// shard b and every weight is zero, so ShardOf is
+  /// XxHash64(key, salt) % num_shards. Requires 1 <= num_shards <= 65536.
+  static RoutingDirectory Uniform(size_t num_shards);
+
+  /// True iff this is Uniform(num_shards()). The snapshot writers omit the
+  /// RDIR section exactly then.
+  bool IsUniform() const;
+
   size_t num_buckets() const { return bucket_to_shard.size(); }
   size_t num_shards() const { return shard_weights.size(); }
+
+  /// The shard `key` routes to under `salt` — the one key→shard function of
+  /// the sharded build, ShardedFilter and DynamicShardedHabf.
+  size_t ShardOf(std::string_view key, uint64_t salt) const {
+    return bucket_to_shard[RoutingBucketOfKey(key, salt,
+                                              bucket_to_shard.size())];
+  }
 
   /// max(shard weight) / mean(shard weight) — the balance figure the tests
   /// bound and `habf_tool stats` reports. 1.0 is perfect balance; returns
   /// 1.0 when the total weight is zero (nothing to balance).
   double MaxMeanWeightRatio() const;
 
-  /// Appends the directory as an HBF1 section payload ("RDIR" in both the
-  /// sharded and dynamic snapshots, DESIGN.md §10): u32 num_buckets, u16
-  /// little-endian entries, u32 num_shards, f64 weights.
-  void AppendPayload(std::string* out) const;
-
-  /// Parses an AppendPayload() section. `expected_shards` cross-checks the
-  /// enclosing snapshot's shard count: every entry must name one of its
-  /// shards. Returns nullopt on any bound violation, entry out of range,
-  /// non-finite/negative weight, or trailing bytes — all checked before the
-  /// directory vectors are sized.
-  static std::optional<RoutingDirectory> ParsePayload(std::string_view payload,
-                                                      size_t expected_shards);
+  /// Reads a directory from `reader`: u32 num_buckets, u16 entries, the u32
+  /// shard count if `shard_count_prefixed` (the legacy SHR2 header carries
+  /// it elsewhere), f64 weights. `expected_shards` is the enclosing
+  /// snapshot's shard count: every entry must name one of its shards.
+  /// Returns nullopt on any bound violation, entry out of range, shard count
+  /// mismatch, or non-finite/negative weight — the bucket count is bounded
+  /// by the bytes left before the vectors are sized.
+  static std::optional<RoutingDirectory> Read(BinaryReader* reader,
+                                              size_t expected_shards,
+                                              bool shard_count_prefixed);
 };
+
+/// Adds the RDIR section for `directory` to `container` — u32 num_buckets,
+/// u16 little-endian entries, u32 num_shards, f64 weights — unless the
+/// directory is uniform (a uniform-routed snapshot carries no RDIR).
+void WriteRoutingSection(const RoutingDirectory& directory,
+                         SectionWriter* container);
+
+/// Reads the RDIR section of `container` for a snapshot of `num_shards`
+/// shards. An absent section is Uniform(num_shards). A section that is
+/// present but fails its CRC, does not Read(), or has trailing bytes is
+/// nullopt — never uniform routing, which would send most keys of a
+/// two-choice filter to the wrong shard.
+std::optional<RoutingDirectory> ReadRoutingSection(
+    const SectionReader& container, size_t num_shards);
 
 /// Builds the two-choice directory: buckets are assigned heaviest-first
 /// (ties toward the lower bucket index) to the lighter of their two
@@ -105,10 +139,9 @@ RoutingDirectory BuildTwoChoiceDirectory(
     const std::vector<double>& bucket_weights, size_t num_shards,
     uint64_t salt);
 
-/// Balance of plain uniform hash routing over the same weighted key set —
-/// the baseline the two-choice directory is measured against. Routes each
-/// (key, weight) pair with ShardOfKey semantics (XxHash64 % num_shards) and
-/// returns max/mean shard weight.
+/// Balance of uniform routing over the same weighted key set — the baseline
+/// the two-choice directory is measured against. Routes each (key, weight)
+/// pair through Uniform(num_shards) and returns max/mean shard weight.
 double UniformRoutingMaxMeanRatio(
     const std::vector<std::pair<std::string_view, double>>& weighted_keys,
     uint64_t salt, size_t num_shards);

@@ -85,19 +85,36 @@ std::vector<size_t> ApportionShardBits(size_t total_bits,
 
 namespace {
 
-/// Everything a sharded build needs after partitioning, shared by the
-/// synchronous and asynchronous entry points so both produce *identical*
-/// filters: the shard-contiguous grouped view permutations, the group
-/// offsets, and the fully-resolved per-shard options (apportioned bit
-/// budgets, decorrelated seeds). The grouped views reference the caller's
+/// Shard count of a build: at least 1 and clamped to the bound the snapshot
+/// reader enforces, so every built filter can be persisted and loaded back.
+size_t BuildShards(const ShardedBuildOptions& sharding) {
+  return std::min(std::max<size_t>(1, sharding.num_shards),
+                  kMaxSnapshotShards);
+}
+
+/// Worker count of a build: the requested count (0 = one per hardware
+/// thread), capped at the shard count, at least 1.
+size_t BuildThreads(const ShardedBuildOptions& sharding) {
+  size_t num_threads = sharding.num_threads;
+  if (num_threads == 0) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    num_threads = hw == 0 ? 1 : hw;
+  }
+  return std::max<size_t>(1, std::min(num_threads, BuildShards(sharding)));
+}
+
+/// Everything a sharded build needs after partitioning, so every entry point
+/// produces *identical* filters: the shard-contiguous grouped view
+/// permutations, the group offsets, and the fully-resolved per-shard options
+/// (apportioned bit budgets, decorrelated seeds). The grouped views reference the caller's
 /// key storage, which must stay alive while any shard of the plan builds.
 struct ShardedBuildPlan {
   size_t num_shards = 1;
   uint64_t salt = kDefaultShardSalt;
   /// Resolved worker count (min(requested-or-hardware, num_shards), >= 1).
   size_t num_threads = 1;
-  /// Two-choice bucket→shard table (empty under uniform routing or a single
-  /// shard); the assembled filter routes queries through it.
+  /// The bucket→shard table the keys were partitioned through; the
+  /// assembled filter routes queries through it.
   RoutingDirectory directory;
   std::vector<std::string_view> grouped_pos;
   std::vector<WeightedKeyView> grouped_neg;
@@ -131,19 +148,9 @@ ShardedBuildPlan PrepareShardedBuild(size_t num_positives,
                                      const HabfOptions& options,
                                      const ShardedBuildOptions& sharding) {
   ShardedBuildPlan plan;
-  // Clamp to the bound the snapshot reader enforces, so every built filter
-  // can be persisted and loaded back.
-  plan.num_shards =
-      std::min(std::max<size_t>(1, sharding.num_shards), kMaxSnapshotShards);
+  plan.num_shards = BuildShards(sharding);
   plan.salt = sharding.salt;
-
-  size_t num_threads = sharding.num_threads;
-  if (num_threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    num_threads = hw == 0 ? 1 : hw;
-  }
-  plan.num_threads = std::max<size_t>(
-      1, std::min<size_t>(num_threads, plan.num_shards));
+  plan.num_threads = BuildThreads(sharding);
 
   plan.grouped_pos.resize(num_positives);
   plan.grouped_neg.resize(num_negatives);
@@ -155,57 +162,51 @@ ShardedBuildPlan PrepareShardedBuild(size_t num_positives,
     plan.pos_offsets = {0, num_positives};
     plan.neg_offsets = {0, num_negatives};
     plan.shard_options = {options};
+    plan.directory = RoutingDirectory::Uniform(1);
     return plan;
   }
 
-  // Hash-partition both build sets by the routing salt — zero-copy: the
-  // partitions are shard-contiguous *view permutations* over the caller's
-  // key storage (route once, prefix-sum the group offsets, gather), so the
-  // partitioning cost is O(n) pointer-sized views instead of a second copy
-  // of every key byte.
+  // Partition both build sets through the routing directory — zero-copy:
+  // the partitions are shard-contiguous *view permutations* over the
+  // caller's key storage (route once, prefix-sum the group offsets,
+  // gather), so the partitioning cost is O(n) pointer-sized views instead
+  // of a second copy of every key byte.
+  //
+  // Every key is hashed to its bucket once. Under uniform routing the
+  // buckets are the shards (the identity directory); two-choice routing
+  // first balances the buckets' cumulative weights (1.0 per positive, Θ(e)
+  // per negative) across the shards. Either way each key's shard is then
+  // resolved through the finished directory, the one queries use.
   const size_t num_shards = plan.num_shards;
+  const bool two_choice = sharding.routing == RoutingMode::kTwoChoice;
+  const size_t num_buckets =
+      two_choice ? std::min(std::max(sharding.num_routing_buckets, num_shards),
+                            kMaxRoutingBuckets)
+                 : num_shards;
+  std::vector<double> bucket_weights(num_buckets, 0.0);
   std::vector<uint32_t> pos_shard(num_positives);
   std::vector<uint32_t> neg_shard(num_negatives);
-  if (sharding.routing == RoutingMode::kTwoChoice) {
-    // Two-choice routing: hash every key to a bucket, accumulate each
-    // bucket's cumulative weight (1.0 per positive, Θ(e) per negative),
-    // balance buckets across shards heaviest-first, then resolve every
-    // key's shard through the finished directory. The directory is what
-    // queries on the assembled filter (and SHR2 loads) route through.
-    const size_t num_buckets =
-        std::min(std::max(sharding.num_routing_buckets, num_shards),
-                 kMaxRoutingBuckets);
-    std::vector<double> bucket_weights(num_buckets, 0.0);
-    for (size_t i = 0; i < num_positives; ++i) {
-      const size_t b = RoutingBucketOfKey(pos_at(i), plan.salt, num_buckets);
-      pos_shard[i] = static_cast<uint32_t>(b);
-      bucket_weights[b] += 1.0;
-    }
-    for (size_t i = 0; i < num_negatives; ++i) {
-      const WeightedKeyView wk = neg_at(i);
-      const size_t b = RoutingBucketOfKey(wk.key, plan.salt, num_buckets);
-      neg_shard[i] = static_cast<uint32_t>(b);
-      // A hostile negative cost (negative, NaN) must not poison the balance
-      // accounting; route it, but give it no weight.
-      if (std::isfinite(wk.cost) && wk.cost > 0.0) bucket_weights[b] += wk.cost;
-    }
-    plan.directory =
-        BuildTwoChoiceDirectory(bucket_weights, num_shards, plan.salt);
-    for (size_t i = 0; i < num_positives; ++i) {
-      pos_shard[i] = plan.directory.bucket_to_shard[pos_shard[i]];
-    }
-    for (size_t i = 0; i < num_negatives; ++i) {
-      neg_shard[i] = plan.directory.bucket_to_shard[neg_shard[i]];
-    }
-  } else {
-    for (size_t i = 0; i < num_positives; ++i) {
-      pos_shard[i] =
-          static_cast<uint32_t>(ShardOfKey(pos_at(i), plan.salt, num_shards));
-    }
-    for (size_t i = 0; i < num_negatives; ++i) {
-      neg_shard[i] = static_cast<uint32_t>(
-          ShardOfKey(neg_at(i).key, plan.salt, num_shards));
-    }
+  for (size_t i = 0; i < num_positives; ++i) {
+    const size_t b = RoutingBucketOfKey(pos_at(i), plan.salt, num_buckets);
+    pos_shard[i] = static_cast<uint32_t>(b);
+    bucket_weights[b] += 1.0;
+  }
+  for (size_t i = 0; i < num_negatives; ++i) {
+    const WeightedKeyView wk = neg_at(i);
+    const size_t b = RoutingBucketOfKey(wk.key, plan.salt, num_buckets);
+    neg_shard[i] = static_cast<uint32_t>(b);
+    // A hostile negative cost (negative, NaN) must not poison the balance
+    // accounting; route it, but give it no weight.
+    if (std::isfinite(wk.cost) && wk.cost > 0.0) bucket_weights[b] += wk.cost;
+  }
+  plan.directory =
+      two_choice ? BuildTwoChoiceDirectory(bucket_weights, num_shards, plan.salt)
+                 : RoutingDirectory::Uniform(num_shards);
+  for (uint32_t& shard : pos_shard) {
+    shard = plan.directory.bucket_to_shard[shard];
+  }
+  for (uint32_t& shard : neg_shard) {
+    shard = plan.directory.bucket_to_shard[shard];
   }
   plan.pos_offsets.assign(num_shards + 1, 0);
   plan.neg_offsets.assign(num_shards + 1, 0);
@@ -250,63 +251,7 @@ ShardedBuildPlan PrepareShardedBuild(size_t num_positives,
   return plan;
 }
 
-/// Runs every shard of the plan on a fresh worker pool and assembles the
-/// filter — the synchronous tail shared by both BuildShardedHabf overloads.
-ShardedFilter<Habf> RunShardedBuild(ShardedBuildPlan plan) {
-  if (plan.num_shards == 1) {
-    std::vector<Habf> shards;
-    shards.push_back(BuildPlanShard(plan, 0));
-    return ShardedFilter<Habf>(std::move(shards), plan.salt);
-  }
-
-  // One build task per shard, each consuming its span of the grouped views.
-  // Habf has no default constructor, so workers fill a vector of optionals
-  // that is unwrapped after the barrier. The pool runs inline when only one
-  // worker is useful. WaitAll rethrows the first exception a shard build
-  // escaped with, so the unwrap below never dereferences an empty slot.
-  std::vector<std::optional<Habf>> built(plan.num_shards);
-  {
-    ThreadPool pool(plan.num_threads <= 1 ? 0 : plan.num_threads);
-    for (size_t s = 0; s < plan.num_shards; ++s) {
-      pool.Submit([&plan, &built, s] { built[s] = BuildPlanShard(plan, s); });
-    }
-    pool.WaitAll();
-  }
-
-  std::vector<Habf> shards;
-  shards.reserve(plan.num_shards);
-  for (std::optional<Habf>& shard : built) {
-    assert(shard.has_value());  // WaitAll would have thrown otherwise
-    shards.push_back(std::move(*shard));
-  }
-  return ShardedFilter<Habf>(std::move(shards), plan.salt,
-                             std::move(plan.directory));
-}
-
 }  // namespace
-
-ShardedFilter<Habf> BuildShardedHabf(StringSpan positives,
-                                     WeightedKeySpan negatives,
-                                     const HabfOptions& options,
-                                     const ShardedBuildOptions& sharding) {
-  return RunShardedBuild(PrepareShardedBuild(
-      positives.size(), negatives.size(),
-      [&](size_t i) { return positives[i]; },
-      [&](size_t i) { return negatives[i]; }, options, sharding));
-}
-
-ShardedFilter<Habf> BuildShardedHabf(const std::vector<std::string>& positives,
-                                     const std::vector<WeightedKey>& negatives,
-                                     const HabfOptions& options,
-                                     const ShardedBuildOptions& sharding) {
-  return RunShardedBuild(PrepareShardedBuild(
-      positives.size(), negatives.size(),
-      [&](size_t i) { return std::string_view(positives[i]); },
-      [&](size_t i) {
-        return WeightedKeyView(negatives[i].key, negatives[i].cost);
-      },
-      options, sharding));
-}
 
 // --- asynchronous build -----------------------------------------------------
 
@@ -421,6 +366,28 @@ BuildHandle BuildShardedHabfAsync(const std::vector<std::string>& positives,
           },
           options, sharding),
       pool);
+}
+
+// --- synchronous build: the asynchronous plan, taken at once ---------------
+
+ShardedFilter<Habf> BuildShardedHabf(StringSpan positives,
+                                     WeightedKeySpan negatives,
+                                     const HabfOptions& options,
+                                     const ShardedBuildOptions& sharding) {
+  const size_t num_threads = BuildThreads(sharding);
+  ThreadPool pool(num_threads <= 1 ? 0 : num_threads);
+  return BuildShardedHabfAsync(positives, negatives, options, sharding, &pool)
+      .TakeResult();
+}
+
+ShardedFilter<Habf> BuildShardedHabf(const std::vector<std::string>& positives,
+                                     const std::vector<WeightedKey>& negatives,
+                                     const HabfOptions& options,
+                                     const ShardedBuildOptions& sharding) {
+  const size_t num_threads = BuildThreads(sharding);
+  ThreadPool pool(num_threads <= 1 ? 0 : num_threads);
+  return BuildShardedHabfAsync(positives, negatives, options, sharding, &pool)
+      .TakeResult();
 }
 
 BuildHandle::BuildHandle(std::shared_ptr<State> state,

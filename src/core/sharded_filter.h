@@ -1,8 +1,9 @@
-// Sharded filter (DESIGN.md §4): hash-partitions the key space into S
-// shards, each an independent filter over its slice of the keys. This is
-// the multi-core answer to the paper's dominant cost, TPJO construction
-// (paper §IV): S shard builds are embarrassingly parallel and run on a
-// util/thread_pool.h worker pool, while queries route by the shard hash.
+// Sharded filter (DESIGN.md §4): partitions the key space into S shards
+// through a routing directory (core/routing_directory.h), each shard an
+// independent filter over its slice of the keys. This is the multi-core
+// answer to the paper's dominant cost, TPJO construction (paper §IV): S
+// shard builds are embarrassingly parallel and run on a util/thread_pool.h
+// worker pool, while queries route through the same directory.
 //
 // ShardedFilter<F> models the Filter concept itself:
 //   * MightContain routes the key to its shard;
@@ -17,7 +18,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -32,7 +32,6 @@
 #include "core/filter_interface.h"
 #include "core/habf.h"
 #include "core/routing_directory.h"
-#include "hashing/xxhash.h"
 #include "util/serde.h"
 #include "util/thread_pool.h"
 
@@ -56,31 +55,25 @@ constexpr uint32_t kShardedSnapshotVersionV2 = 1;
 constexpr size_t kMaxSnapshotShards = 4096;
 
 /// HBF1 content + section tags of the sharded snapshot (DESIGN.md §10).
-/// SCFG carries salt + shard count, RDIR the two-choice routing directory
-/// (absent under uniform routing), SHDS the per-shard sub-snapshots.
+/// SCFG carries salt + shard count, RDIR the routing directory (absent when
+/// it is the uniform one), SHDS the per-shard sub-snapshots.
 constexpr uint32_t kShardedContentTag = FourCc("SHRD");
 constexpr uint32_t kShardedConfigTag = FourCc("SCFG");
-constexpr uint32_t kShardedRoutingTag = FourCc("RDIR");
+constexpr uint32_t kShardedRoutingTag = kRoutingSectionTag;
 constexpr uint32_t kShardedShardsTag = FourCc("SHDS");
 
-/// How keys are mapped to shards, at build and query time alike.
+/// The directory a sharded build routes keys through. Queries do not
+/// branch on it: both modes route through RoutingDirectory::ShardOf.
 enum class RoutingMode : uint8_t {
-  /// shard = XxHash64(key, salt) % num_shards. Balances key *counts*; blind
-  /// to key weight (a skewed cost mass lands wherever the hash says).
+  /// RoutingDirectory::Uniform: shard = XxHash64(key, salt) % num_shards.
+  /// Balances key *counts*; blind to key weight (a skewed cost mass lands
+  /// wherever the hash says).
   kUniform = 0,
   /// shard = directory[XxHash64(key, salt) % num_buckets], with the
   /// directory balanced by cumulative key weight via power-of-two-choices
   /// placement (core/routing_directory.h).
   kTwoChoice = 1,
 };
-
-/// Shard of `key` under `salt`: a routing hash independent of the filters'
-/// probe hashing.
-inline size_t ShardOfKey(std::string_view key, uint64_t salt,
-                         size_t num_shards) {
-  return static_cast<size_t>(XxHash64(key.data(), key.size(), salt) %
-                             num_shards);
-}
 
 /// Splits `total_bits` across shards proportionally to `weights` (positive
 /// key counts) by largest-remainder apportionment, then rebalances so every
@@ -103,8 +96,8 @@ struct ShardedBuildOptions {
   /// filter route identically.
   uint64_t salt = kDefaultShardSalt;
   /// Key→shard placement policy. kTwoChoice builds a weight-balanced
-  /// routing directory (persisted in the SHR2 snapshot); with one shard the
-  /// mode is irrelevant and no directory is built.
+  /// routing directory (persisted as the snapshot's RDIR section); with one
+  /// shard the mode is irrelevant and the directory is uniform.
   RoutingMode routing = RoutingMode::kUniform;
   /// Directory size for kTwoChoice (clamped to
   /// [num_shards, kMaxRoutingBuckets]); ignored under kUniform.
@@ -118,27 +111,20 @@ struct ShardedBuildOptions {
 template <typename F>
 class ShardedFilter {
  public:
-  /// Assembles a uniform-routed sharded filter from already-built shards.
-  /// The shard assignment of every key queried later must match the
-  /// partitioning the shards were built with (same salt, same shard count).
-  ShardedFilter(std::vector<F> shards, uint64_t salt)
-      : shards_(std::move(shards)), salt_(salt) {
-    assert(!shards_.empty());
-    assert(shards_.size() <= kMaxSnapshotShards);  // else Deserialize rejects
-    name_ = std::string("sharded-") + shards_.front().Name();
-  }
-
-  /// Assembles a two-choice-routed sharded filter: `directory` maps routing
-  /// buckets to shards and must have been built against the same salt and
-  /// shard count the keys were partitioned with. An empty directory
-  /// degrades to uniform routing (the single-shard build path).
+  /// Assembles a sharded filter from already-built shards. `directory`
+  /// (RoutingDirectory::Uniform(shards.size()) for uniform routing) must be
+  /// the one, under the same salt, that the keys were partitioned with.
   ShardedFilter(std::vector<F> shards, uint64_t salt,
                 RoutingDirectory directory)
-      : ShardedFilter(std::move(shards), salt) {
-    directory_ = std::move(directory);
-    assert(directory_.empty() ||
-           (directory_.num_shards() == shards_.size() &&
-            directory_.num_buckets() <= kMaxRoutingBuckets));
+      : shards_(std::move(shards)),
+        salt_(salt),
+        directory_(std::move(directory)) {
+    assert(!shards_.empty());
+    assert(shards_.size() <= kMaxSnapshotShards);  // else Deserialize rejects
+    assert(directory_.num_shards() == shards_.size() &&
+           directory_.num_buckets() >= 1 &&
+           directory_.num_buckets() <= kMaxRoutingBuckets);
+    name_ = std::string("sharded-") + shards_.front().Name();
   }
 
   ShardedFilter(const ShardedFilter&) = delete;
@@ -158,16 +144,13 @@ class ShardedFilter {
   std::vector<F> TakeShards() && { return std::move(shards_); }
 
   RoutingMode routing() const {
-    return directory_.empty() ? RoutingMode::kUniform
-                              : RoutingMode::kTwoChoice;
+    return directory_.IsUniform() ? RoutingMode::kUniform
+                                  : RoutingMode::kTwoChoice;
   }
-  /// The persisted routing directory (empty under uniform routing).
   const RoutingDirectory& directory() const { return directory_; }
 
   size_t ShardOf(std::string_view key) const {
-    if (directory_.empty()) return ShardOfKey(key, salt_, shards_.size());
-    return directory_.bucket_to_shard[RoutingBucketOfKey(
-        key, salt_, directory_.num_buckets())];
+    return directory_.ShardOf(key, salt_);
   }
 
   // --- Filter concept -----------------------------------------------------
@@ -243,8 +226,9 @@ class ShardedFilter {
 
   /// Appends the sharded snapshot as an HBF1 sectioned container (content
   /// "SHRD"; DESIGN.md §10): an SCFG section (salt + shard count), an RDIR
-  /// section for two-choice routing, and an SHDS section of length-prefixed
-  /// per-shard sub-snapshots (each produced by F::Serialize).
+  /// section unless the directory is uniform, and an SHDS section of
+  /// length-prefixed per-shard sub-snapshots (each produced by
+  /// F::Serialize).
   void Serialize(std::string* out) const {
     std::string config;
     BinaryWriter config_writer(&config);
@@ -261,11 +245,7 @@ class ShardedFilter {
 
     SectionWriter container(out, kShardedContentTag);
     container.AddSection(kShardedConfigTag, config);
-    if (!directory_.empty()) {
-      std::string routing;
-      directory_.AppendPayload(&routing);
-      container.AddSection(kShardedRoutingTag, routing);
-    }
+    WriteRoutingSection(directory_, &container);
     container.AddSection(kShardedShardsTag, shard_blob);
     container.Finish();
   }
@@ -293,32 +273,12 @@ class ShardedFilter {
     if (!reader.ok() || num_shards == 0 || num_shards > kMaxSnapshotShards) {
       return std::nullopt;
     }
-    RoutingDirectory directory;
-    if (two_choice) {
-      const uint32_t num_buckets = reader.ReadU32();
-      // A hostile bucket count must fail here, before the directory vectors
-      // are sized: bounded range AND the payload actually holds the entries.
-      if (!reader.ok() || num_buckets == 0 ||
-          num_buckets > kMaxRoutingBuckets ||
-          reader.remaining() < size_t{num_buckets} * 2 + num_shards * 8) {
-        return std::nullopt;
-      }
-      directory.bucket_to_shard.resize(num_buckets);
-      for (uint32_t b = 0; b < num_buckets; ++b) {
-        const uint16_t lo = reader.ReadU8();
-        const uint16_t hi = reader.ReadU8();
-        const uint16_t shard = static_cast<uint16_t>(lo | (hi << 8));
-        if (shard >= num_shards) return std::nullopt;
-        directory.bucket_to_shard[b] = shard;
-      }
-      directory.shard_weights.resize(num_shards);
-      for (uint32_t s = 0; s < num_shards; ++s) {
-        const double weight = reader.ReadDouble();
-        if (!std::isfinite(weight) || weight < 0.0) return std::nullopt;
-        directory.shard_weights[s] = weight;
-      }
-      if (!reader.ok()) return std::nullopt;
-    }
+    // SHR2 inlines the directory, without its shard count; SHRD is uniform.
+    std::optional<RoutingDirectory> directory =
+        two_choice ? RoutingDirectory::Read(&reader, num_shards,
+                                            /*shard_count_prefixed=*/false)
+                   : RoutingDirectory::Uniform(num_shards);
+    if (!directory.has_value()) return std::nullopt;
     std::vector<F> shards;
     shards.reserve(num_shards);
     for (uint32_t s = 0; s < num_shards; ++s) {
@@ -329,7 +289,7 @@ class ShardedFilter {
       shards.push_back(std::move(*shard));
     }
     if (reader.remaining() != 0) return std::nullopt;
-    return ShardedFilter(std::move(shards), salt, std::move(directory));
+    return ShardedFilter(std::move(shards), salt, std::move(*directory));
   }
 
   bool SaveToFile(const std::string& path) const {
@@ -348,8 +308,8 @@ class ShardedFilter {
 
  private:
   /// HBF1 arm of Deserialize: sections looked up by tag (unknown tags are
-  /// skipped for forward compat), every payload CRC-checked by Find before
-  /// its bytes are parsed.
+  /// skipped for forward compat), every payload CRC-checked before its
+  /// bytes are parsed; a damaged RDIR fails the load.
   static std::optional<ShardedFilter> DeserializeHbf1(std::string_view data) {
     const std::optional<SectionReader> container = SectionReader::Parse(data);
     if (!container.has_value() ||
@@ -370,15 +330,9 @@ class ShardedFilter {
       return std::nullopt;
     }
 
-    RoutingDirectory directory;
-    const std::optional<std::string_view> routing =
-        container->Find(kShardedRoutingTag);
-    if (routing.has_value()) {
-      std::optional<RoutingDirectory> parsed =
-          RoutingDirectory::ParsePayload(*routing, num_shards);
-      if (!parsed.has_value()) return std::nullopt;
-      directory = std::move(*parsed);
-    }
+    std::optional<RoutingDirectory> directory =
+        ReadRoutingSection(*container, num_shards);
+    if (!directory.has_value()) return std::nullopt;
 
     BinaryReader shard_reader(*shard_blob);
     std::vector<F> shards;
@@ -391,7 +345,7 @@ class ShardedFilter {
       shards.push_back(std::move(*shard));
     }
     if (shard_reader.remaining() != 0) return std::nullopt;
-    return ShardedFilter(std::move(shards), salt, std::move(directory));
+    return ShardedFilter(std::move(shards), salt, std::move(*directory));
   }
 
   /// Per-thread grouping workspace of ContainsBatch.
@@ -419,25 +373,25 @@ class ShardedFilter {
 
   std::vector<F> shards_;
   uint64_t salt_;
-  /// Two-choice bucket→shard table; empty = uniform hash routing.
+  /// Bucket→shard table every key routes through.
   RoutingDirectory directory_;
   std::string name_;
 };
 
-/// Hash-partitions the build sets and runs one TPJO build per shard on a
-/// worker pool (parallel across shards; each shard build is the unchanged
-/// single-threaded algorithm). `options.total_bits` is the *global* budget,
-/// split across shards by ApportionShardBits so bits-per-key — and
-/// therefore the FPR bound — is preserved and the per-shard budgets sum
-/// exactly to it. With num_shards == 1 the result answers identically to
+/// Partitions the build sets through the routing directory and runs one TPJO
+/// build per shard on a worker pool (parallel across shards; each shard
+/// build is the unchanged single-threaded algorithm). It is
+/// BuildShardedHabfAsync on a call-local pool (inline for one thread), taken
+/// at once. `options.total_bits` is the *global* budget, split across shards
+/// by ApportionShardBits so bits-per-key — and therefore the FPR bound — is
+/// preserved and the per-shard budgets sum exactly to it. With num_shards == 1 the result answers identically to
 /// Habf::Build.
 ///
 /// Zero-copy: partitioning builds shard-contiguous *view permutations* over
 /// the caller's key storage instead of copying strings, so peak key memory
 /// during the build is ~1x the input (plus O(n) pointer-sized views). The
-/// viewed storage must outlive the call. A worker task that throws (e.g.
-/// std::bad_alloc in a shard build) propagates out of this function via the
-/// pool's WaitAll.
+/// viewed storage must outlive the call. The first exception a shard build
+/// throws (e.g. std::bad_alloc) propagates out of this function.
 ShardedFilter<Habf> BuildShardedHabf(StringSpan positives,
                                      WeightedKeySpan negatives,
                                      const HabfOptions& options,
@@ -467,9 +421,9 @@ class BuildHandle;
 /// spaces are partitioned synchronously (cheap, O(n) routing hashes), one
 /// build task per shard is submitted, and a future-like BuildHandle is
 /// returned immediately. The finished filter is *bit-for-bit identical* to
-/// the synchronous BuildShardedHabf result for the same inputs — both run
-/// the same partition/apportion/seed plan — so a service can overlap TPJO
-/// construction with serving an old snapshot and hot-swap on completion
+/// the synchronous BuildShardedHabf result for the same inputs — that one is
+/// this build taken at once — so a service can overlap TPJO construction
+/// with serving an old snapshot and hot-swap on completion
 /// (core/filter_store.h).
 ///
 /// Pool choice: with `pool == nullptr` the handle owns a private worker pool

@@ -564,7 +564,8 @@ bool Server::FlushOutput(Worker& worker, Connection& conn) {
 }
 
 void Server::UpdateInterest(Worker& worker, Connection& conn) {
-  uint32_t want = (conn.want_read && !conn.read_paused) ? EPOLLIN : 0;
+  uint32_t want = 0;
+  if (conn.want_read && !conn.read_paused) want |= EPOLLIN;
   if (conn.out_pos < conn.out.size()) want |= EPOLLOUT;
   if (want == conn.registered_events) return;
   worker.loop.Modify(conn.fd, want);

@@ -7,7 +7,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <optional>
@@ -40,6 +39,7 @@ constexpr char kUsage[] =
     "           [--routing uniform|two-choice] [--routing-buckets B]\n"
     "           (--wal-dir seeds a durable filter for serve --wal-dir)\n"
     "  query    --filter FILTER (--key KEY ... | --keys FILE)\n"
+    "           (--keys takes the key column of key<TAB>cost lines)\n"
     "  stats    (--filter FILTER | --port P [--host H])\n"
     "           (--port queries a running habf_server's counters over the\n"
     "            wire via the HNP1 Stats op; default host 127.0.0.1)\n"
@@ -261,15 +261,6 @@ int BuildDurable(std::vector<std::string> positives,
                  std::vector<WeightedKey> negatives, const HabfOptions& options,
                  const ShardedBuildOptions& sharding, const std::string& dir,
                  std::string* out, std::string* err) {
-  // Reseeding would leave the old WAL epochs behind, and recovery would
-  // replay their mutations on top of the new filter.
-  std::error_code ec;
-  if (std::filesystem::exists(dir, ec) &&
-      !std::filesystem::is_empty(dir, ec)) {
-    *err += "build: --wal-dir " + dir +
-            " is not empty (serve --wal-dir opens an existing one)\n";
-    return 1;
-  }
   const size_t num_positives = positives.size();
   const size_t num_negatives = negatives.size();
   DynamicShardedHabf filter(std::move(positives), std::move(negatives),
@@ -430,7 +421,10 @@ int CmdQuery(const Flags& flags, std::string* out, std::string* err) {
     keys = flags.values.at("key");
   }
   if (const std::string* path = flags.GetOne("keys")) {
-    if (!ReadKeyLines(*path, &keys, err)) return 2;
+    // Same "key" / "key<TAB>cost" lines as --negatives: query the key column.
+    std::vector<WeightedKey> weighted;
+    if (!ReadWeightedLines(*path, &weighted, err)) return 2;
+    for (WeightedKey& wk : weighted) keys.push_back(std::move(wk.key));
   }
   if (keys.empty()) {
     *err += "query requires --key or --keys\n";
@@ -534,7 +528,7 @@ int CmdStats(const Flags& flags, std::string* out, std::string* err) {
   // perfect balance; uniform routing has no persisted weights to report.
   if (filter->sharded.has_value()) {
     const RoutingDirectory& directory = filter->sharded->directory();
-    if (directory.empty()) {
+    if (directory.IsUniform()) {
       *out += "routing=uniform\n";
     } else {
       double min_weight = directory.shard_weights.front();

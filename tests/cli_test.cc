@@ -9,6 +9,7 @@
 #include <chrono>
 #include <filesystem>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -184,6 +185,54 @@ TEST_F(CliTest, GenerateThenBuildPipeline) {
   EXPECT_NE(out_.find("weighted_fpr="), std::string::npos);
   std::remove(gen_pos.c_str());
   std::remove(gen_neg.c_str());
+}
+
+TEST_F(CliTest, QueryKeysReadsKeyColumnOfGeneratedNegatives) {
+  const std::string gen_pos = dir_ + "/gen_pos.txt";
+  const std::string gen_neg = dir_ + "/gen_neg.txt";
+  ASSERT_EQ(Run({"generate", "--dataset", "shalla", "--positives", gen_pos,
+                 "--negatives", gen_neg, "--count", "500", "--seed", "7"}),
+            0)
+      << err_;
+  ASSERT_EQ(Run({"build", "--positives", gen_pos, "--out", filter_path_}), 0)
+      << err_;
+  ASSERT_EQ(Run({"query", "--filter", filter_path_, "--keys", gen_neg}), 0)
+      << err_;
+
+  // One answer per "key<TAB>cost" line, for the key alone.
+  std::string negatives;
+  ASSERT_TRUE(ReadFileBytes(gen_neg, &negatives));
+  std::istringstream expected(negatives);
+  std::istringstream answers(out_);
+  std::string line, answer;
+  size_t lines = 0;
+  while (std::getline(expected, line)) {
+    ASSERT_NE(line.find('\t'), std::string::npos) << line;
+    ASSERT_TRUE(std::getline(answers, answer));
+    const std::string key = line.substr(0, line.find('\t'));
+    EXPECT_TRUE(answer == key + "\tmaybe-in-set" ||
+                answer == key + "\tnot-in-set")
+        << answer;
+    ++lines;
+  }
+  EXPECT_EQ(lines, 500u);
+  EXPECT_FALSE(std::getline(answers, answer)) << answer;
+
+  // Members written in the same two-column format all answer maybe-in-set.
+  ASSERT_EQ(Run({"build", "--positives", positives_path_, "--out",
+                 filter_path_}),
+            0)
+      << err_;
+  const std::string weighted_members = dir_ + "/weighted_members.txt";
+  ASSERT_TRUE(WriteFileBytes(weighted_members,
+                             "member-3\t2.5\nmember-4\t1\nmember-5\n"));
+  ASSERT_EQ(Run({"query", "--filter", filter_path_, "--keys",
+                 weighted_members}),
+            0)
+      << err_;
+  EXPECT_EQ(out_,
+            "member-3\tmaybe-in-set\nmember-4\tmaybe-in-set\n"
+            "member-5\tmaybe-in-set\n");
 }
 
 TEST_F(CliTest, GenerateRejectsBadArguments) {
@@ -705,8 +754,10 @@ TEST_F(CliTest, ServeDynamicWalDirAcceptsWireMutations) {
   // Reseeding a live directory is refused: its WAL would replay on top.
   EXPECT_EQ(Run({"build", "--positives", positives_path_, "--wal-dir",
                  wal_dir}),
-            1);
-  EXPECT_NE(err_.find("is not empty"), std::string::npos) << err_;
+            2);
+  EXPECT_NE(err_.find("already holds a checkpoint or WAL epochs"),
+            std::string::npos)
+      << err_;
 }
 
 TEST_F(CliTest, ServeFlagsRejectMisuse) {

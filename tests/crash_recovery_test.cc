@@ -224,6 +224,90 @@ TEST_F(CrashRecoveryTest, SnapshotSectionBitFlipFailsNamingTheSection) {
   EXPECT_NE(reopened, nullptr) << error;
 }
 
+TEST_F(CrashRecoveryTest, RoutingSectionPresentOnlyForTwoChoice) {
+  // A uniform filter's checkpoint carries no RDIR section; a two-choice one
+  // does, and a flip inside it fails recovery instead of falling back to
+  // uniform routing (which would lose most members to the wrong shard).
+  const auto has_routing = [](const std::string& bytes) {
+    const std::optional<SectionReader> table = SectionReader::Parse(bytes);
+    EXPECT_TRUE(table.has_value());
+    for (const SectionReader::Section& section : table->sections()) {
+      if (section.tag == kDynamicRoutingTag) return true;
+    }
+    return false;
+  };
+  const std::string path = DynamicSnapshotPath(dir_);
+  std::string snapshot;
+  { auto filter = MakeDurable(5); }
+  ASSERT_TRUE(ReadFileBytes(path, &snapshot));
+  EXPECT_FALSE(has_routing(snapshot));
+
+  ::unlink(path.c_str());
+  RemoveWalFilesBelow(dir_, ~uint64_t{0});
+  ShardedBuildOptions sharding = FourShards();
+  sharding.routing = RoutingMode::kTwoChoice;
+  sharding.num_routing_buckets = 64;
+  {
+    DynamicShardedHabf filter(MakeKeys("base-", 800), {}, SmallOptions(),
+                              sharding);
+    std::string error;
+    ASSERT_TRUE(filter.EnableDurability(dir_, &error)) << error;
+    filter.Insert("wal-0");
+  }
+  ASSERT_TRUE(ReadFileBytes(path, &snapshot));
+  ASSERT_TRUE(has_routing(snapshot));
+  std::string error;
+  auto reopened = DynamicShardedHabf::Open(dir_, {}, &error);
+  ASSERT_NE(reopened, nullptr) << error;
+  EXPECT_TRUE(reopened->MightContain("wal-0"));
+  for (const std::string& key : MakeKeys("base-", 800)) {
+    EXPECT_TRUE(reopened->MightContain(key)) << key;
+  }
+  reopened.reset();
+
+  ASSERT_TRUE(ReadFileBytes(path, &snapshot));
+  const std::optional<SectionReader> table = SectionReader::Parse(snapshot);
+  ASSERT_TRUE(table.has_value());
+  for (const SectionReader::Section& section : table->sections()) {
+    if (section.tag != kDynamicRoutingTag) continue;
+    std::string corrupt = snapshot;
+    const size_t victim = section.payload_offset + section.length / 2;
+    corrupt[victim] =
+        static_cast<char>(static_cast<uint8_t>(corrupt[victim]) ^ 0x01);
+    ASSERT_TRUE(WriteFileBytesAtomic(path, corrupt));
+    EXPECT_EQ(DynamicShardedHabf::Open(dir_, {}, &error), nullptr);
+    EXPECT_NE(error.find("RDIR"), std::string::npos) << error;
+  }
+}
+
+TEST_F(CrashRecoveryTest, EnableDurabilityRefusesAUsedDirectory) {
+  { auto filter = MakeDurable(40); }
+  // A fresh filter must not adopt the directory: Open() would replay the
+  // old filter's WAL over it.
+  DynamicShardedHabf fresh(MakeKeys("other-", 100), {}, SmallOptions(),
+                           FourShards());
+  std::string error;
+  EXPECT_FALSE(fresh.EnableDurability(dir_, &error));
+  EXPECT_NE(error.find("already holds a checkpoint or WAL epochs"),
+            std::string::npos)
+      << error;
+  EXPECT_FALSE(fresh.durable());
+
+  // The refusal left the directory as it was.
+  auto reopened = DynamicShardedHabf::Open(dir_, {}, &error);
+  ASSERT_NE(reopened, nullptr) << error;
+  ExpectRecovered(*reopened, 40);
+  // Idempotent on the filter that owns the directory.
+  EXPECT_TRUE(reopened->EnableDurability(dir_, &error)) << error;
+  reopened.reset();
+
+  // WAL epochs alone (no checkpoint) are refused too.
+  ::unlink(DynamicSnapshotPath(dir_).c_str());
+  error.clear();
+  EXPECT_FALSE(fresh.EnableDurability(dir_, &error));
+  EXPECT_NE(error.find("already holds"), std::string::npos) << error;
+}
+
 TEST_F(CrashRecoveryTest, CorruptWalRecordFailsNamingTheRecord) {
   { auto filter = MakeDurable(30); }
   const std::string wal_path = WalFilePath(dir_, 2);

@@ -8,11 +8,16 @@
 // keys. Any change that breaks one of these assertions is a format break,
 // not a refactor. Only the readers remain; nothing in the tree can write a
 // legacy snapshot, so the fixtures are never regenerated.
+//
+// The hbf1_*.snapshot fixtures pin the current writer the same way: a fresh
+// uniform or two-choice sharded build of the fixture keys must reproduce
+// them byte for byte (uniform routing writes no RDIR section).
 
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/habf.h"
@@ -128,6 +133,28 @@ TEST(FormatCompat, Shr2TwoChoiceFixtureLoadsBitExact) {
   ASSERT_EQ(MagicOf(bytes), kShardedSnapshotMagicV2);
   EXPECT_FALSE(SectionReader::LooksLikeContainer(bytes));
   ExpectLoadsBitExact(bytes, keys, RoutingMode::kTwoChoice);
+}
+
+TEST(FormatCompat, Hbf1ShardedBuildsMatchPinnedBytes) {
+  const std::vector<std::string> keys =
+      ReadKeyList(DataPath("shrd_uniform_v1.keys"));
+  ASSERT_FALSE(keys.empty());
+  for (const auto& [stem, routing] :
+       {std::pair<const char*, RoutingMode>{"hbf1_uniform",
+                                            RoutingMode::kUniform},
+        std::pair<const char*, RoutingMode>{"hbf1_two_choice",
+                                            RoutingMode::kTwoChoice}}) {
+    std::string pinned;
+    ASSERT_TRUE(ReadFileBytes(DataPath(std::string(stem) + ".snapshot"),
+                              &pinned))
+        << stem;
+    EXPECT_EQ(Hbf1Bytes(BuildFixtureFilter(routing, keys)), pinned)
+        << stem << ": a fresh build no longer writes the pinned bytes";
+    const auto loaded = ShardedFilter<Habf>::Deserialize(pinned);
+    ASSERT_TRUE(loaded.has_value()) << stem;
+    EXPECT_EQ(loaded->routing(), routing) << stem;
+    for (const auto& key : keys) EXPECT_TRUE(loaded->MightContain(key)) << key;
+  }
 }
 
 TEST(FormatCompat, HabfLegacyFixtureLoadsBitExact) {

@@ -1,9 +1,10 @@
-// Property and skew tests of the two-choice routing directory
-// (core/routing_directory.h): structural invariants (valid shard ids,
-// weight conservation, determinism), the balance bound under Zipf(1.1) and
-// single-hot-key adversarial weight distributions — measured against the
-// uniform-hash-routing baseline blowup — and the bucket-granularity floor
-// the directory cannot balance below. The Zipf case mirrors the PR's
+// Property and skew tests of the routing directory
+// (core/routing_directory.h): the uniform identity directory and the RDIR
+// section codec; structural invariants of the two-choice directory (valid
+// shard ids, weight conservation, determinism), the balance bound under
+// Zipf(1.1) and single-hot-key adversarial weight distributions — measured
+// against the uniform-routing baseline blowup — and the bucket-granularity
+// floor the directory cannot balance below. The Zipf case mirrors the
 // acceptance criterion: 1M keys, 8 shards, max/mean <= 1.15 where uniform
 // routing exceeds it.
 
@@ -12,13 +13,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "bloom/weighted_bloom.h"
 #include "core/sharded_filter.h"  // kDefaultShardSalt
+#include "hashing/xxhash.h"
 #include "util/rng.h"
+#include "util/serde.h"
 #include "workload/dataset.h"
 
 namespace habf {
@@ -211,6 +216,94 @@ TEST(RoutingDirectoryTest, GranularityFloorIsTightNotExceeded) {
       BuildTwoChoiceDirectory(weights, kShards, kDefaultShardSalt);
   EXPECT_GE(directory.MaxMeanWeightRatio(), floor * 0.999);
   EXPECT_LE(directory.MaxMeanWeightRatio(), floor * 1.01);
+}
+
+TEST(RoutingDirectoryTest, UniformDirectoryIsTheShardHash) {
+  // The identity directory routes every key to XxHash64(key, salt) % S —
+  // the uniform formula every existing snapshot was partitioned with.
+  for (size_t num_shards : {size_t{1}, size_t{2}, size_t{3}, size_t{8},
+                            size_t{4096}}) {
+    const RoutingDirectory uniform = RoutingDirectory::Uniform(num_shards);
+    ASSERT_EQ(uniform.num_buckets(), num_shards);
+    ASSERT_EQ(uniform.num_shards(), num_shards);
+    EXPECT_TRUE(uniform.IsUniform());
+    EXPECT_DOUBLE_EQ(uniform.MaxMeanWeightRatio(), 1.0);
+    for (int i = 0; i < 2000; ++i) {
+      const std::string key = "uniform-key-" + std::to_string(i);
+      ASSERT_EQ(uniform.ShardOf(key, kDefaultShardSalt),
+                XxHash64(key.data(), key.size(), kDefaultShardSalt) %
+                    num_shards)
+          << "shards=" << num_shards << " key=" << key;
+    }
+  }
+}
+
+TEST(RoutingDirectoryTest, OnlyTheIdentityWithZeroWeightsIsUniform) {
+  RoutingDirectory weighted = RoutingDirectory::Uniform(4);
+  weighted.shard_weights[2] = 1.0;
+  EXPECT_FALSE(weighted.IsUniform());
+  RoutingDirectory permuted = RoutingDirectory::Uniform(4);
+  std::swap(permuted.bucket_to_shard[0], permuted.bucket_to_shard[1]);
+  EXPECT_FALSE(permuted.IsUniform());
+  RoutingDirectory more_buckets = RoutingDirectory::Uniform(4);
+  more_buckets.bucket_to_shard.push_back(0);
+  EXPECT_FALSE(more_buckets.IsUniform());
+  const RoutingDirectory balanced = BuildTwoChoiceDirectory(
+      std::vector<double>(64, 1.0), kShards, kDefaultShardSalt);
+  EXPECT_FALSE(balanced.IsUniform());
+}
+
+std::string ContainerWith(const RoutingDirectory& directory) {
+  std::string bytes;
+  SectionWriter container(&bytes, FourCc("TEST"));
+  container.AddSection(FourCc("HEAD"), "x");
+  WriteRoutingSection(directory, &container);
+  container.Finish();
+  return bytes;
+}
+
+TEST(RoutingDirectoryTest, RoutingSectionOmittedExactlyWhenUniform) {
+  const std::string uniform_bytes = ContainerWith(RoutingDirectory::Uniform(8));
+  const std::optional<SectionReader> uniform =
+      SectionReader::Parse(uniform_bytes);
+  ASSERT_TRUE(uniform.has_value());
+  EXPECT_EQ(uniform->sections().size(), 1u);
+  const std::optional<RoutingDirectory> read = ReadRoutingSection(*uniform, 8);
+  ASSERT_TRUE(read.has_value());
+  EXPECT_TRUE(read->IsUniform());
+  EXPECT_EQ(read->num_shards(), 8u);
+
+  const RoutingDirectory balanced = BuildTwoChoiceDirectory(
+      std::vector<double>(64, 1.0), kShards, kDefaultShardSalt);
+  const std::string balanced_bytes = ContainerWith(balanced);
+  const std::optional<SectionReader> container =
+      SectionReader::Parse(balanced_bytes);
+  ASSERT_TRUE(container.has_value());
+  ASSERT_EQ(container->sections().size(), 2u);
+  const std::optional<RoutingDirectory> restored =
+      ReadRoutingSection(*container, kShards);
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(restored->bucket_to_shard, balanced.bucket_to_shard);
+  EXPECT_EQ(restored->shard_weights, balanced.shard_weights);
+  // A shard-count mismatch with the enclosing snapshot is malformed.
+  EXPECT_FALSE(ReadRoutingSection(*container, kShards + 1).has_value());
+}
+
+TEST(RoutingDirectoryTest, DamagedRoutingSectionIsRejectedNotUniform) {
+  const std::string bytes = ContainerWith(BuildTwoChoiceDirectory(
+      std::vector<double>(64, 1.0), kShards, kDefaultShardSalt));
+  const SectionReader::Section routing =
+      SectionReader::Parse(bytes)->sections().at(1);
+  ASSERT_EQ(routing.tag, kRoutingSectionTag);
+  for (size_t at = routing.payload_offset;
+       at < routing.payload_offset + routing.length; at += 7) {
+    std::string mutated = bytes;
+    mutated[at] = static_cast<char>(static_cast<uint8_t>(mutated[at]) ^ 0x01);
+    const std::optional<SectionReader> container =
+        SectionReader::Parse(mutated);
+    ASSERT_TRUE(container.has_value());
+    EXPECT_FALSE(ReadRoutingSection(*container, kShards).has_value()) << at;
+  }
 }
 
 }  // namespace

@@ -547,8 +547,8 @@ TEST(ShardedFilterTest, TwoChoiceMatchesUniformGuaranteesAtZeroSkew) {
 }
 
 TEST(ShardedFilterTest, TwoChoiceSingleShardBuildsNoDirectory) {
-  // With one shard routing is irrelevant: no directory is built, so the
-  // snapshot carries no RDIR section.
+  // With one shard routing is irrelevant: the directory is the uniform one,
+  // so the snapshot carries no RDIR section.
   ShardedBuildOptions sharding;
   sharding.num_shards = 1;
   sharding.num_threads = 1;
@@ -556,7 +556,8 @@ TEST(ShardedFilterTest, TwoChoiceSingleShardBuildsNoDirectory) {
   const auto filter = BuildShardedHabf(
       SharedData().positives, SharedData().negatives, BaseOptions(), sharding);
   EXPECT_EQ(filter.routing(), RoutingMode::kUniform);
-  EXPECT_TRUE(filter.directory().empty());
+  EXPECT_TRUE(filter.directory().IsUniform());
+  EXPECT_EQ(filter.directory().num_shards(), 1u);
   std::string bytes;
   filter.Serialize(&bytes);
   const std::optional<SectionReader> container = SectionReader::Parse(bytes);

@@ -11,8 +11,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/habf.h"
@@ -341,9 +343,30 @@ TEST(SnapshotFuzzTest, Hbf1PayloadCorruptionCaughtByCrc) {
   std::string habf = HabfSnapshot();
   habf[40] = static_cast<char>(static_cast<uint8_t>(habf[40]) ^ 0x01);
   EXPECT_FALSE(Habf::Deserialize(habf).has_value());
-  std::string sharded = TwoChoiceSnapshot();
-  sharded[40] = static_cast<char>(static_cast<uint8_t>(sharded[40]) ^ 0x80);
-  EXPECT_FALSE(ShardedFilter<Habf>::Deserialize(sharded).has_value());
+
+  // Every section of both sharded layouts, including the optional RDIR: a
+  // damaged routing directory must not degrade to uniform routing, which
+  // would send most members to the wrong shard.
+  const std::vector<std::pair<std::string, std::vector<uint32_t>>> layouts = {
+      {ShardedSnapshot(), {kShardedConfigTag, kShardedShardsTag}},
+      {TwoChoiceSnapshot(),
+       {kShardedConfigTag, kShardedRoutingTag, kShardedShardsTag}}};
+  for (const auto& [bytes, expected_tags] : layouts) {
+    const std::optional<SectionReader> container = SectionReader::Parse(bytes);
+    ASSERT_TRUE(container.has_value());
+    std::vector<uint32_t> tags;
+    for (const SectionReader::Section& section : container->sections()) {
+      tags.push_back(section.tag);
+      ASSERT_GT(section.length, 0u);
+      std::string mutated = bytes;
+      const size_t at = section.payload_offset + section.length / 2;
+      mutated[at] = static_cast<char>(static_cast<uint8_t>(mutated[at]) ^ 0x01);
+      EXPECT_FALSE(ShardedFilter<Habf>::Deserialize(mutated).has_value())
+          << "section " << section.tag << " of a " << expected_tags.size()
+          << "-section snapshot";
+    }
+    EXPECT_EQ(tags, expected_tags);
+  }
 }
 
 TEST(SnapshotFuzzTest, Hbf1HostileSectionCountRejected) {
