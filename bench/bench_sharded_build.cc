@@ -1128,7 +1128,7 @@ int main(int argc, char** argv) {
   const double speedup = static_cast<double>(serial_ns) /
                          static_cast<double>(std::max<uint64_t>(parallel_ns, 1));
 
-  // --- query: unsharded native batch vs sharded grouped batch -------------
+  // --- query: unsharded batch vs sharded batch (one block kernel) ---------
   const Habf unsharded =
       Habf::Build(data.positives, data.negatives, options);
   auto sharded = BuildShardedHabf(data.positives, data.negatives,
@@ -1160,8 +1160,7 @@ int main(int argc, char** argv) {
   record("BM_HabfBatchSharded",
          BestOf(args.repeats, [&] { batch_sweep(sharded); }), mixed_d);
 
-  // The grouped path at a large batch (8192), where every shard's group
-  // holds about a thousand keys.
+  // The sharded batch at a large batch (8192 keys, ~1000 per shard).
   constexpr size_t kLargeBatch = 8192;
   auto large_batch_sweep = [&](const auto& filter) {
     std::vector<uint8_t> out(kLargeBatch);

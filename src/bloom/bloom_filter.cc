@@ -9,6 +9,7 @@ BloomFilter::BloomFilter(size_t num_bits, const HashProvider* provider,
                          std::vector<uint8_t> default_fns)
     : num_bits_(num_bits),
       provider_(provider),
+      shares_digests_(provider->SharesDigests()),
       default_fns_(std::move(default_fns)),
       bits_(num_bits) {
   assert(num_bits > 0);
@@ -39,8 +40,14 @@ void BloomFilter::AddWith(std::string_view key, const uint8_t* fns, size_t n) {
 
 bool BloomFilter::TestWith(std::string_view key, const uint8_t* fns,
                            size_t n) const {
-  uint64_t values[32];
   assert(n <= 32);
+  if (!shares_digests_) {
+    for (size_t i = 0; i < n; ++i) {
+      if (!bits_.Get(PositionOf(key, fns[i]))) return false;
+    }
+    return true;
+  }
+  uint64_t values[32];
   provider_->Values(key, fns, n, values);
   for (size_t i = 0; i < n; ++i) {
     if (!bits_.Get(static_cast<size_t>(values[i] % num_bits_))) return false;

@@ -41,15 +41,10 @@ class BloomFilter {
   /// bit-array word, then probes — hiding memory latency that MightContain
   /// pays per key.
   size_t ContainsBatch(KeySpan keys, uint8_t* out) const {
-    return TestBatchWith(keys, default_fns_.data(), default_fns_.size(), out);
-  }
-
-  /// Batched TestWith: every key tested against the same explicit subset
-  /// `fns[0..n)` (HABF round 1 uses this with H0).
-  size_t TestBatchWith(KeySpan keys, const uint8_t* fns, size_t n,
-                       uint8_t* out) const {
+    const uint8_t* fns = default_fns_.data();
     return TestBatchWithResolver(
-        keys, n, [fns](size_t, uint8_t*) { return fns; }, out);
+        keys, default_fns_.size(), [fns](size_t, uint8_t*) { return fns; },
+        out);
   }
 
   /// The generic prefetching hash-then-probe loop behind every batch test:
@@ -75,8 +70,8 @@ class BloomFilter {
       // Stage 1: hash key by key and prefetch each key's probed words as
       // soon as they are known, so the loads of one key overlap the hashing
       // of the next. (Hashing the block function by function instead
-      // delays every load to the end of the stage: with 8 shards, ~4 keys a
-      // shard, that measured ~10% slower end to end on a 4-vCPU Xeon VM.)
+      // delays every load to the end of the stage; on ~4-key blocks that
+      // measured ~10% slower end to end on a 4-vCPU Xeon VM.)
       for (size_t i = 0; i < count; ++i) {
         uint8_t scratch[32];
         const uint8_t* fns = fns_for(base + i, scratch);
@@ -108,7 +103,10 @@ class BloomFilter {
   /// Inserts `key` using explicit function indices `fns[0..n)`.
   void AddWith(std::string_view key, const uint8_t* fns, size_t n);
 
-  /// Tests `key` using explicit function indices.
+  /// Tests `key` using explicit function indices. With a provider whose
+  /// functions are independent hashes, positions are hashed one function at
+  /// a time and the test stops at the first clear bit; a shared-digest
+  /// provider is evaluated with one Values() call.
   bool TestWith(std::string_view key, const uint8_t* fns, size_t n) const;
 
   /// Bit position of function `fn_idx` applied to `key`.
@@ -116,8 +114,11 @@ class BloomFilter {
     return static_cast<size_t>(provider_->Value(key, fn_idx) % num_bits_);
   }
 
-  /// Direct bit access for the TPJO optimizer.
+  /// Direct bit access for the TPJO optimizer and the HABF read kernel.
   bool GetBit(size_t pos) const { return bits_.Get(pos); }
+  void PrefetchBit(size_t pos) const {
+    __builtin_prefetch(&bits_.words()[pos >> 6], 0, 3);
+  }
   void SetBit(size_t pos) { bits_.Set(pos); }
   void ClearBit(size_t pos) { bits_.Clear(pos); }
 
@@ -125,6 +126,8 @@ class BloomFilter {
   size_t num_hashes() const { return default_fns_.size(); }
   const std::vector<uint8_t>& default_fns() const { return default_fns_; }
   const HashProvider* provider() const { return provider_; }
+  /// provider()->SharesDigests(), read once at construction.
+  bool shares_digests() const { return shares_digests_; }
   const char* Name() const { return "bloom"; }
 
   /// Fraction of set bits (diagnostic; the load factor drives FPR).
@@ -150,6 +153,7 @@ class BloomFilter {
  private:
   size_t num_bits_;
   const HashProvider* provider_;
+  bool shares_digests_;
   std::vector<uint8_t> default_fns_;
   BitVector bits_;
 };

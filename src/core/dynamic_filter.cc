@@ -225,8 +225,7 @@ size_t DynamicShardedHabf::ContainsBatch(KeySpan keys, uint8_t* out) const {
   const size_t n = keys.size();
   if (n == 0) return 0;
 
-  // Per-thread scratch mirroring ShardedFilter::ContainsBatch — steady-state
-  // batches allocate nothing.
+  // Per-thread scratch: steady-state batches allocate nothing.
   struct Scratch {
     std::vector<std::string_view> unresolved;
     std::vector<uint32_t> origin;
@@ -720,6 +719,18 @@ bool DynamicShardedHabf::ParseSnapshotBytes(std::string_view bytes,
       base->salt() != out->salt) {
     if (error != nullptr) {
       *error = "checkpoint section BASE does not deserialize";
+    }
+    return false;
+  }
+  // The delta tier routes mutations and compactions by the top-level RDIR,
+  // queries by BASE's own: a checkpoint whose two copies differ would
+  // rebuild keys into shards that queries never consult.
+  if (base->directory().bucket_to_shard != out->directory.bucket_to_shard ||
+      base->directory().shard_weights != out->directory.shard_weights) {
+    if (error != nullptr) {
+      *error =
+          "checkpoint sections RDIR and BASE disagree on the routing "
+          "directory";
     }
     return false;
   }

@@ -183,8 +183,9 @@ class DynamicShardedHabf {
 
   /// Batched counterpart: resolves the whole batch against the delta under
   /// one shared lock, then sends the unresolved keys through the base
-  /// snapshot's native grouped ContainsBatch. Answers are identical to
-  /// per-key MightContain calls at the same point in the mutation order.
+  /// snapshot's ContainsBatch (the block read kernel). Answers are
+  /// identical to per-key MightContain calls at the same point in the
+  /// mutation order.
   size_t ContainsBatch(KeySpan keys, uint8_t* out) const
       HABF_EXCLUDES(delta_mutex_);
 

@@ -9,6 +9,7 @@
 #include <numeric>
 #include <unordered_map>
 
+#include "core/routing_directory.h"
 #include "util/rng.h"
 #include "util/serde.h"
 
@@ -81,7 +82,7 @@ bool Habf::Contains(std::string_view key) const {
   // Round 1: the shared initial subset H0.
   if (bloom_.TestWith(key, h0_.data(), h0_.size())) return true;
   // Round 2: customized subset from the HashExpressor, if any.
-  uint8_t fns[16];
+  uint8_t fns[kMaxHashesPerKey];
   const size_t k = h0_.size();
   if (expressor_.Query(key, fns, k) && bloom_.TestWith(key, fns, k)) {
     return true;
@@ -90,18 +91,103 @@ bool Habf::Contains(std::string_view key) const {
 }
 
 size_t Habf::ContainsBatch(KeySpan keys, uint8_t* out) const {
-  // Round 1: batched H0 probe over the whole batch (prefetching loop).
-  size_t positives = bloom_.TestBatchWith(keys, h0_.data(), h0_.size(), out);
-  // Round 2: HashExpressor retrieval only for the first-round misses — on a
-  // mostly-positive batch this round touches almost nothing.
-  uint8_t fns[16];
-  const size_t k = h0_.size();
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (out[i]) continue;
-    if (expressor_.Query(keys[i], fns, k) &&
-        bloom_.TestWith(keys[i], fns, k)) {
-      out[i] = 1;
-      ++positives;
+  return ContainsBlocks(keys, [this](std::string_view) { return this; }, out);
+}
+
+size_t Habf::ContainsBatchSharded(KeySpan keys, const Habf* shards,
+                                  const RoutingDirectory& directory,
+                                  uint64_t salt, uint8_t* out) {
+  const auto route = [&](std::string_view key) {
+    return &shards[directory.ShardOf(key, salt)];
+  };
+  return ContainsBlocks(keys, route, out);
+}
+
+// The paper's query is a conjunction, so the kernel hashes no further than
+// a key's first clear bit: a block of up to 32 keys moves through round 1
+// one H0 function at a time, and only the keys whose bits so far were all
+// set compute the next position. Each position's word is prefetched when
+// the position is computed and probed one stage later, after the hashing of
+// the other keys still in play. A round-1 miss computes and prefetches its
+// HashExpressor entry cell at once; round 2 walks the chains after the
+// block's round 1. Keys never leave their input slots: with shards, each
+// key carries a pointer to its own shard. A shared-digest (f-HABF) shard
+// computes its two digests once per key, so all its H0 positions are known
+// and prefetched at stage 0.
+template <typename Route>
+size_t Habf::ContainsBlocks(KeySpan keys, Route&& route, uint8_t* out) {
+  constexpr size_t kBlock = 32;
+  const Habf* shard[kBlock];
+  size_t pos[kBlock][kMaxHashesPerKey];
+  size_t entry[kBlock];
+  uint8_t active[kBlock];
+  uint8_t missed[kBlock];
+  size_t positives = 0;
+  PrefetchKeys(keys, 0, kKeyPrefetchDistance);
+  for (size_t base = 0; base < keys.size(); base += kBlock) {
+    const size_t count = std::min(kBlock, keys.size() - base);
+    const std::string_view* block = keys.data() + base;
+    PrefetchKeys(keys, base + kKeyPrefetchDistance,
+                 base + count + kKeyPrefetchDistance);
+
+    // Stage 0: route, and compute and prefetch each key's first position.
+    for (size_t i = 0; i < count; ++i) {
+      const Habf* f = route(block[i]);
+      const BloomFilter& bloom = f->bloom_;
+      const size_t k = f->h0_.size();
+      assert(k <= kMaxHashesPerKey);
+      shard[i] = f;
+      active[i] = static_cast<uint8_t>(i);
+      if (bloom.shares_digests()) {
+        uint64_t values[kMaxHashesPerKey];
+        f->provider_->Values(block[i], f->h0_.data(), k, values);
+        for (size_t j = 0; j < k; ++j) {
+          pos[i][j] = static_cast<size_t>(values[j] % bloom.num_bits());
+          bloom.PrefetchBit(pos[i][j]);
+        }
+      } else {
+        pos[i][0] = bloom.PositionOf(block[i], f->h0_[0]);
+        bloom.PrefetchBit(pos[i][0]);
+      }
+    }
+
+    // Round 1, stage j: probe bit j of every key whose bits 0..j-1 were set.
+    size_t num_active = count;
+    size_t num_missed = 0;
+    for (size_t j = 0; num_active != 0; ++j) {
+      size_t still_active = 0;
+      for (size_t a = 0; a < num_active; ++a) {
+        const size_t i = active[a];
+        const Habf* f = shard[i];
+        const BloomFilter& bloom = f->bloom_;
+        if (!bloom.GetBit(pos[i][j])) {
+          entry[i] = f->expressor_.EntryCell(block[i]);
+          f->expressor_.PrefetchCell(entry[i]);
+          missed[num_missed++] = static_cast<uint8_t>(i);
+        } else if (j + 1 == f->h0_.size()) {
+          out[base + i] = 1;
+          ++positives;
+        } else {
+          if (!bloom.shares_digests()) {
+            pos[i][j + 1] = bloom.PositionOf(block[i], f->h0_[j + 1]);
+            bloom.PrefetchBit(pos[i][j + 1]);
+          }
+          active[still_active++] = static_cast<uint8_t>(i);
+        }
+      }
+      num_active = still_active;
+    }
+
+    // Round 2: the customized subset, for the round-1 misses only.
+    for (size_t m = 0; m < num_missed; ++m) {
+      const size_t i = missed[m];
+      const Habf* f = shard[i];
+      const size_t k = f->h0_.size();
+      uint8_t fns[kMaxHashesPerKey];
+      const bool hit = f->expressor_.QueryFrom(block[i], entry[i], fns, k) &&
+                       f->bloom_.TestWith(block[i], fns, k);
+      out[base + i] = hit ? 1 : 0;
+      positives += hit ? 1 : 0;
     }
   }
   return positives;
@@ -407,7 +493,7 @@ bool Habf::Builder::TestsPositive(int32_t neg_idx, const uint8_t** fns_out,
     *n_out = k_;
     return true;
   }
-  static thread_local uint8_t retrieved[16];
+  static thread_local uint8_t retrieved[kMaxHashesPerKey];
   if (habf_.expressor_.Query(key, retrieved, k_) &&
       habf_.bloom_.TestWith(key, retrieved, k_)) {
     *fns_out = retrieved;
@@ -790,7 +876,7 @@ std::optional<Habf> Habf::Deserialize(std::string_view data) {
   std::vector<uint64_t>& cell_words = fields.cell_words;
   if (options.total_bits < 64 || options.total_bits > kMaxSnapshotBits ||
       options.cell_bits < 2 || options.cell_bits > 8 || options.k == 0 ||
-      options.k > 16 || !std::isfinite(options.delta) ||
+      options.k > kMaxHashesPerKey || !std::isfinite(options.delta) ||
       options.delta < 0.0 || options.delta > kMaxSnapshotDelta) {
     return std::nullopt;
   }
@@ -838,7 +924,7 @@ Habf Habf::Build(StringSpan positives, WeightedKeySpan negatives,
                  const HabfOptions& options) {
   HabfOptions effective = options;
   Sizing sizing = ComputeSizing(effective);
-  if (effective.k > sizing.usable_fns) effective.k = sizing.usable_fns;
+  effective.k = std::min({effective.k, sizing.usable_fns, kMaxHashesPerKey});
   if (effective.k == 0) effective.k = 1;
 
   Habf habf(effective, sizing);

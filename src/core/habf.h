@@ -35,6 +35,8 @@
 
 namespace habf {
 
+struct RoutingDirectory;
+
 /// Materializes non-owning views over owning key vectors — the adapters the
 /// vector-based Build overloads use to reach the span-based core. O(n)
 /// pointer-sized views; no key bytes are copied.
@@ -50,6 +52,10 @@ inline std::vector<WeightedKeyView> MakeWeightedKeyViews(
   return views;
 }
 
+/// Largest k a filter is built or loaded with; the query paths size their
+/// per-key function and position buffers by it.
+inline constexpr size_t kMaxHashesPerKey = 16;
+
 /// Build-time parameters (defaults are the paper's tuned values, §V-D).
 struct HabfOptions {
   /// Total space budget in bits (HashExpressor + Bloom filter).
@@ -59,7 +65,8 @@ struct HabfOptions {
   /// Paper finds 0.25 optimal (Fig. 9a).
   double delta = 0.25;
 
-  /// Number of hash functions per key; paper default 3 (Fig. 9a).
+  /// Number of hash functions per key; paper default 3 (Fig. 9a). Build
+  /// clamps it to [1, min(usable functions, kMaxHashesPerKey)].
   size_t k = 3;
 
   /// HashExpressor cell width in bits; paper default 4 (Fig. 9b). A cell
@@ -141,11 +148,21 @@ class Habf {
   /// this repository (so the shared measurement templates apply).
   bool MightContain(std::string_view key) const { return Contains(key); }
 
-  /// Batched two-round query (Filter concept): round 1 runs the prefetching
-  /// H0 probe loop over the whole batch; round 2 walks the HashExpressor
-  /// only for the keys round 1 missed. out[i] = 1/0 per key; returns the
-  /// positive count.
+  /// Batched two-round query (Filter concept) through the block read kernel
+  /// (DESIGN.md §2): round 1 probes H0 one function at a time across a
+  /// block of keys, each key stopping at its first clear bit, and round 2
+  /// walks the HashExpressor from prefetched entry cells for the keys round
+  /// 1 missed. out[i] = 1/0 per key, identical to Contains(keys[i]);
+  /// returns the positive count.
   size_t ContainsBatch(KeySpan keys, uint8_t* out) const;
+
+  /// The same kernel over a sharded filter: keys[i] is answered in out[i]
+  /// by shards[directory.ShardOf(keys[i], salt)], each key with its own
+  /// shard's k, H0, bit count and hash provider, so unlike shards mix in
+  /// one block. ShardedFilter<Habf>::ContainsBatch is this call.
+  static size_t ContainsBatchSharded(KeySpan keys, const Habf* shards,
+                                     const RoutingDirectory& directory,
+                                     uint64_t salt, uint8_t* out);
 
   /// Display label (Filter concept).
   const char* Name() const { return options_.fast ? "f-habf" : "habf"; }
@@ -212,6 +229,11 @@ class Habf {
   Habf(const HabfOptions& options, Sizing sizing);
 
   class Builder;  // TPJO implementation (habf.cc)
+
+  /// The block read kernel behind both batch entry points (habf.cc):
+  /// `route(key)` names the filter that answers `key`.
+  template <typename Route>
+  static size_t ContainsBlocks(KeySpan keys, Route&& route, uint8_t* out);
 
   HabfOptions options_;
   std::unique_ptr<HashProvider> provider_;

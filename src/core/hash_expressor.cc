@@ -133,9 +133,9 @@ bool HashExpressor::Insert(std::string_view key, const uint8_t* fns,
   return true;
 }
 
-bool HashExpressor::Query(std::string_view key, uint8_t* fns,
-                          size_t n) const {
-  size_t cell = EntryCell(key);
+bool HashExpressor::QueryFrom(std::string_view key, size_t entry_cell,
+                              uint8_t* fns, size_t n) const {
+  size_t cell = entry_cell;
   for (size_t i = 0; i < n; ++i) {
     const Cell c = ReadCell(cell);
     if (c.hashindex == 0) return false;

@@ -66,7 +66,22 @@ class HashExpressor {
   /// Walks the chain for `key`. On success fills `fns[0..n)` with the stored
   /// subset (chain order) and returns true; returns false when the walk hits
   /// an empty cell or the final endbit is 0 (caller falls back to H0).
-  bool Query(std::string_view key, uint8_t* fns, size_t n) const;
+  bool Query(std::string_view key, uint8_t* fns, size_t n) const {
+    return QueryFrom(key, EntryCell(key), fns, n);
+  }
+
+  /// Query() with the entry cell already computed, so a batched reader can
+  /// compute EntryCell() and PrefetchCell() it well before the walk.
+  bool QueryFrom(std::string_view key, size_t entry_cell, uint8_t* fns,
+                 size_t n) const;
+
+  /// The first chain cell of `key` (the dedicated entry function f).
+  size_t EntryCell(std::string_view key) const;
+
+  /// Prefetches the word holding `cell`.
+  void PrefetchCell(size_t cell) const {
+    __builtin_prefetch(&cells_.words()[(cell * cell_bits_) >> 6], 0, 3);
+  }
 
   /// Number of keys committed so far (the t of the Fh <= t/ω bound).
   size_t num_inserted() const { return num_inserted_; }
@@ -110,7 +125,6 @@ class HashExpressor {
                         (endbit ? 1u : 0u));
   }
 
-  size_t EntryCell(std::string_view key) const;
   size_t NextCell(std::string_view key, uint8_t fn) const;
 
   // Depth-first search over storage orders; keeps the best (max overlap)

@@ -5,10 +5,10 @@
 // shard builds are embarrassingly parallel and run on a util/thread_pool.h
 // worker pool, while queries route through the same directory.
 //
-// ShardedFilter<F> models the Filter concept itself:
+// ShardedFilter<Habf> models the Filter concept itself:
 //   * MightContain routes the key to its shard;
-//   * ContainsBatch groups a batch by shard, runs each shard's native
-//     prefetching batch loop over its group, and scatters the answers back;
+//   * ContainsBatch runs Habf's block read kernel over the whole batch, each
+//     key routed to its shard and answered in its own slot;
 //   * MemoryUsageBytes sums the shards.
 // so every measurement template, FilterRef, and the CLI work on it
 // unchanged. The sharded snapshot is versioned and wraps one sub-snapshot
@@ -16,7 +16,6 @@
 
 #pragma once
 
-#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -104,9 +103,9 @@ struct ShardedBuildOptions {
   size_t num_routing_buckets = kDefaultRoutingBuckets;
 };
 
-/// A filter hash-partitioned into independent per-shard filters. F must
-/// model the Filter concept; Serialize/Deserialize additionally require
-/// `void F::Serialize(std::string*) const` and
+/// A filter hash-partitioned into independent per-shard filters. F is Habf,
+/// the one shard type: ContainsBatch calls F::ContainsBatchSharded, and
+/// Serialize/Deserialize call `void F::Serialize(std::string*) const` and
 /// `static std::optional<F> F::Deserialize(std::string_view)`.
 template <typename F>
 class ShardedFilter {
@@ -159,59 +158,14 @@ class ShardedFilter {
     return shards_[ShardOf(key)].MightContain(key);
   }
 
-  /// Groups the batch by shard, runs each shard's native batch loop over
-  /// its contiguous group, and scatters the per-key answers back into
-  /// `out[]` in input order. Returns the positive count. The grouping
-  /// scratch is thread-local (grown, never shrunk) so steady-state batch
-  /// queries allocate nothing; concurrent readers each use their own.
+  /// Answers the batch through the shards' block read kernel
+  /// (Habf::ContainsBatchSharded, DESIGN.md §4): each key routes to its
+  /// shard and is answered in its own slot of `out[]`, with no grouping
+  /// pass and no scratch. Returns the positive count.
   size_t ContainsBatch(KeySpan keys, uint8_t* out) const {
-    const size_t n = keys.size();
-    if (n == 0) return 0;
-    if (shards_.size() == 1) return QueryBatch(shards_[0], keys, out);
-
-    static thread_local BatchScratch scratch;
-    scratch.Resize(n, shards_.size());
-
-    // Pass 1: route every key and count the group sizes. It is the first
-    // pass to read key bytes, so it prefetches them a fixed distance ahead;
-    // the shards' hashing then finds them cached.
-    std::fill(scratch.offsets.begin(), scratch.offsets.end(), 0);
-    PrefetchKeys(keys, 0, kKeyPrefetchDistance);
-    for (size_t i = 0; i < n; ++i) {
-      PrefetchKeys(keys, i + kKeyPrefetchDistance,
-                   i + 1 + kKeyPrefetchDistance);
-      const size_t s = ShardOf(keys[i]);
-      scratch.shard_of[i] = static_cast<uint32_t>(s);
-      ++scratch.offsets[s + 1];
-    }
-    for (size_t s = 1; s <= shards_.size(); ++s) {
-      scratch.offsets[s] += scratch.offsets[s - 1];
-    }
-
-    // Pass 2: gather each shard's keys contiguously, remembering the
-    // original slot of every gathered key.
-    std::copy(scratch.offsets.begin(), scratch.offsets.end() - 1,
-              scratch.cursor.begin());
-    for (size_t i = 0; i < n; ++i) {
-      const size_t slot = scratch.cursor[scratch.shard_of[i]]++;
-      scratch.grouped[slot] = keys[i];
-      scratch.origin[slot] = static_cast<uint32_t>(i);
-    }
-
-    // Pass 3: one native batch query per non-empty group.
-    size_t positives = 0;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      const size_t begin = scratch.offsets[s];
-      const size_t count = scratch.offsets[s + 1] - begin;
-      if (count == 0) continue;
-      positives += QueryBatch(shards_[s],
-                              KeySpan(scratch.grouped.data() + begin, count),
-                              scratch.grouped_out.data() + begin);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      out[scratch.origin[i]] = scratch.grouped_out[i];
-    }
-    return positives;
+    if (shards_.size() == 1) return shards_[0].ContainsBatch(keys, out);
+    return F::ContainsBatchSharded(keys, shards_.data(), directory_, salt_,
+                                   out);
   }
 
   size_t MemoryUsageBytes() const {
@@ -347,29 +301,6 @@ class ShardedFilter {
     if (shard_reader.remaining() != 0) return std::nullopt;
     return ShardedFilter(std::move(shards), salt, std::move(*directory));
   }
-
-  /// Per-thread grouping workspace of ContainsBatch.
-  struct BatchScratch {
-    std::vector<uint32_t> shard_of;
-    std::vector<uint32_t> origin;
-    std::vector<size_t> offsets;
-    std::vector<size_t> cursor;
-    std::vector<std::string_view> grouped;
-    std::vector<uint8_t> grouped_out;
-
-    void Resize(size_t num_keys, size_t num_shards) {
-      if (shard_of.size() < num_keys) {
-        shard_of.resize(num_keys);
-        origin.resize(num_keys);
-        grouped.resize(num_keys);
-        grouped_out.resize(num_keys);
-      }
-      if (offsets.size() < num_shards + 1) {
-        offsets.resize(num_shards + 1);
-        cursor.resize(num_shards);
-      }
-    }
-  };
 
   std::vector<F> shards_;
   uint64_t salt_;

@@ -38,6 +38,13 @@ class HashProvider {
 
   /// Display name of function `idx`.
   virtual const char* Name(size_t idx) const = 0;
+
+  /// True when every function is derived from digests that one Values()
+  /// call computes once (double hashing): evaluating a subset together is
+  /// then cheaper than one index at a time. False when each index is its
+  /// own hash, so a conjunction of probes should hash lazily and stop at
+  /// the first clear bit.
+  virtual bool SharesDigests() const { return false; }
 };
 
 /// The first `count` distinct functions of the global Table II family.
@@ -83,6 +90,8 @@ class DoubleHashProvider final : public HashProvider {
   }
 
   const char* Name(size_t idx) const override;
+
+  bool SharesDigests() const override { return true; }
 
  private:
   size_t count_;

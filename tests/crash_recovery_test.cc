@@ -280,6 +280,62 @@ TEST_F(CrashRecoveryTest, RoutingSectionPresentOnlyForTwoChoice) {
   }
 }
 
+TEST_F(CrashRecoveryTest, CheckpointWhoseTwoRoutingSectionsDisagreeIsRefused) {
+  // A two-choice checkpoint stores the directory twice: the top-level RDIR
+  // (mutations, compactions) and the one inside BASE (queries). Re-encode
+  // the checkpoint, every CRC valid, with one top-level bucket moved to
+  // another shard: Open() must refuse it rather than route the two paths
+  // differently.
+  ShardedBuildOptions sharding = FourShards();
+  sharding.routing = RoutingMode::kTwoChoice;
+  sharding.num_routing_buckets = 64;
+  {
+    DynamicShardedHabf filter(MakeKeys("base-", 800), {}, SmallOptions(),
+                              sharding);
+    std::string error;
+    ASSERT_TRUE(filter.EnableDurability(dir_, &error)) << error;
+    filter.Insert("wal-0");
+  }
+  const std::string path = DynamicSnapshotPath(dir_);
+  std::string snapshot;
+  ASSERT_TRUE(ReadFileBytes(path, &snapshot));
+  const std::optional<SectionReader> table = SectionReader::Parse(snapshot);
+  ASSERT_TRUE(table.has_value());
+  std::optional<RoutingDirectory> directory =
+      ReadRoutingSection(*table, sharding.num_shards);
+  ASSERT_TRUE(directory.has_value());
+  ASSERT_FALSE(directory->IsUniform());
+  directory->bucket_to_shard[0] = static_cast<uint16_t>(
+      (directory->bucket_to_shard[0] + 1) % sharding.num_shards);
+
+  std::string reencoded;
+  SectionWriter writer(&reencoded, table->content_tag());
+  bool replaced = false;
+  for (const SectionReader::Section& section : table->sections()) {
+    if (section.tag == kDynamicRoutingTag) {
+      WriteRoutingSection(*directory, &writer);
+      replaced = true;
+    } else {
+      writer.AddSection(section.tag,
+                        std::string_view(snapshot).substr(
+                            section.payload_offset, section.length));
+    }
+  }
+  writer.Finish();
+  ASSERT_TRUE(replaced);
+  ASSERT_TRUE(SectionReader::Parse(reencoded)->AllCrcOk());
+  ASSERT_TRUE(WriteFileBytesAtomic(path, reencoded));
+
+  std::string error;
+  EXPECT_EQ(DynamicShardedHabf::Open(dir_, {}, &error), nullptr);
+  EXPECT_NE(error.find("RDIR"), std::string::npos) << error;
+  EXPECT_NE(error.find("BASE"), std::string::npos) << error;
+
+  // The untouched checkpoint still opens.
+  ASSERT_TRUE(WriteFileBytesAtomic(path, snapshot));
+  EXPECT_NE(DynamicShardedHabf::Open(dir_, {}, &error), nullptr) << error;
+}
+
 TEST_F(CrashRecoveryTest, EnableDurabilityRefusesAUsedDirectory) {
   { auto filter = MakeDurable(40); }
   // A fresh filter must not adopt the directory: Open() would replay the

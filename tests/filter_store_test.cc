@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -88,14 +89,21 @@ TEST(FilterStoreTest, HammeredReadersNeverSeeATornSnapshot) {
   FilterStore<FakeFilter> store(FakeFilter(1));
   std::atomic<bool> stop{false};
   std::atomic<bool> torn{false};
-  std::atomic<uint64_t> last_version_seen{0};
+  std::atomic<uint64_t> max_version_seen{0};
+  // Start latch: publishing waits for every reader's first Acquire. Under a
+  // loaded machine the publisher could otherwise finish all its swaps, and
+  // stop the readers, before any reader had run.
+  constexpr int kReaders = 4;
+  std::atomic<int> started{0};
 
   std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&] {
       uint64_t my_last_version = 0;
-      while (!stop.load(std::memory_order_relaxed)) {
+      for (bool first = true; !stop.load(std::memory_order_relaxed);
+           first = false) {
         const auto snapshot = store.Acquire();
+        if (first) started.fetch_add(1);
         if (snapshot.filter == nullptr || !snapshot.filter->Consistent() ||
             snapshot.filter->id != snapshot.version ||
             snapshot.version < my_last_version) {
@@ -103,23 +111,37 @@ TEST(FilterStoreTest, HammeredReadersNeverSeeATornSnapshot) {
           return;
         }
         my_last_version = snapshot.version;
-        last_version_seen.store(snapshot.version,
-                                std::memory_order_relaxed);
+        // The highest version any reader saw: a plain store would let a
+        // reader still holding version 1 overwrite another's newer one.
+        uint64_t seen = max_version_seen.load(std::memory_order_relaxed);
+        while (seen < snapshot.version &&
+               !max_version_seen.compare_exchange_weak(
+                   seen, snapshot.version, std::memory_order_relaxed)) {
+        }
       }
     });
   }
 
+  while (started.load() < kReaders) std::this_thread::yield();
   constexpr uint64_t kSwaps = 400;
   for (uint64_t id = 2; id <= kSwaps; ++id) {
     store.Publish(FakeFilter(id));
     if (id % 32 == 0) std::this_thread::yield();
+  }
+  // A reader descheduled since its first Acquire may not have run again
+  // yet: give the readers (boundedly) the chance to observe a swap.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (max_version_seen.load() <= 1 && !torn.load() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
   }
   stop.store(true);
   for (auto& reader : readers) reader.join();
 
   EXPECT_FALSE(torn.load()) << "a reader observed a torn or stale-mixed "
                                "snapshot";
-  EXPECT_GT(last_version_seen.load(), 1u) << "readers never saw any swap";
+  EXPECT_GT(max_version_seen.load(), 1u) << "readers never saw any swap";
   EXPECT_EQ(store.Acquire().version, kSwaps);
 }
 

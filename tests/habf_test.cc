@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/theory.h"
@@ -301,6 +302,28 @@ TEST(HabfTest, KClampedToUsableFamily) {
   EXPECT_EQ(filter.options().k, 3u);
   EXPECT_EQ(filter.usable_functions(), 3u);
   EXPECT_EQ(CountFalseNegatives(filter, data.positives), 0u);
+}
+
+TEST(HabfTest, KClampedToTheQueryBufferBound) {
+  // f-HABF with 8-bit cells addresses 127 functions, more than the query
+  // paths' per-key buffers hold: k is clamped to kMaxHashesPerKey.
+  const Dataset data = SmallDataset(2000, 2000);
+  HabfOptions options = DefaultOptions(2000 * 20);
+  options.fast = true;
+  options.cell_bits = 8;
+  options.k = 20;
+  const Habf filter = Habf::Build(data.positives, data.negatives, options);
+  EXPECT_EQ(filter.options().k, kMaxHashesPerKey);
+  EXPECT_EQ(filter.h0().size(), kMaxHashesPerKey);
+  EXPECT_EQ(CountFalseNegatives(filter, data.positives), 0u);
+  std::vector<std::string_view> keys(data.positives.begin(),
+                                     data.positives.end());
+  for (const WeightedKey& wk : data.negatives) keys.push_back(wk.key);
+  std::vector<uint8_t> out(keys.size());
+  filter.ContainsBatch(KeySpan(keys.data(), keys.size()), out.data());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(out[i], filter.Contains(keys[i]) ? 1 : 0) << keys[i];
+  }
 }
 
 }  // namespace

@@ -5,12 +5,19 @@
 //   * ContainsBatch equals per-key MightContain for HABF, f-HABF, both
 //     sharded routing modes and the dynamic tier with a resident delta, over
 //     null, empty, 1-byte and cache-line-straddling keys and batches of 1,
-//     33 and 4097 keys.
+//     33 and 4097 keys;
+//   * the block kernel answers every member and known negative of an
+//     8-shard two-choice filter like scalar Contains at every batch size
+//     1-33 and 4097, with every kernel exit taken (a round-1 miss at stage
+//     0, 1 and 2, a round-1 hit, a walk ending at an empty entry cell or
+//     past it, a round-2 hit through an adjusted positive), and a
+//     ShardedFilter assembled from unlike shards answers like each shard.
 // Labeled `read_path`; scripts/check.sh --sanitize and CI rerun the label
 // under ASan/UBSan, which flag a null-plus-offset key prefetch.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <string>
@@ -219,6 +226,163 @@ TEST(ReadPathDifferentialTest, DynamicWithResidentDelta) {
   for (size_t i = 0; i < 200; ++i) filter.Remove(data.negatives[200 + i].key);
   ASSERT_GT(filter.delta_size(), 0u);
   ExpectBatchMatchesScalar(filter);
+}
+
+// --- the block kernel's exits ----------------------------------------------
+
+/// Where the scalar two-round query of `key` leaves `habf`, recomputed from
+/// the public parts: the first clear H0 bit (k if none), and for a round-1
+/// miss how the HashExpressor walk ends.
+struct KeyExit {
+  size_t first_clear = 0;
+  bool empty_entry_cell = false;  // walk ends at its entry cell
+  bool walk_ok = false;           // walk returned a subset
+  bool round2_hit = false;        // ... whose bits are all set
+};
+
+KeyExit ExitOf(const Habf& habf, std::string_view key) {
+  const std::vector<uint8_t>& h0 = habf.h0();
+  const BloomFilter& bloom = habf.bloom();
+  KeyExit exit;
+  while (exit.first_clear < h0.size() &&
+         bloom.GetBit(bloom.PositionOf(key, h0[exit.first_clear]))) {
+    ++exit.first_clear;
+  }
+  if (exit.first_clear == h0.size()) return exit;
+  const HashExpressor& expressor = habf.expressor();
+  const uint64_t entry = expressor.cells().GetField(
+      expressor.EntryCell(key) * expressor.cell_bits(), expressor.cell_bits());
+  exit.empty_entry_cell = (entry >> 1) == 0;
+  uint8_t fns[16];
+  exit.walk_ok = expressor.Query(key, fns, h0.size());
+  exit.round2_hit = exit.walk_ok && bloom.TestWith(key, fns, h0.size());
+  return exit;
+}
+
+/// Every batch of `keys` cut at `batch_size` answers like per-key
+/// MightContain.
+template <typename Filter>
+void ExpectBlocksMatchScalar(const Filter& filter,
+                             const std::vector<std::string_view>& keys,
+                             const std::vector<uint8_t>& scalar,
+                             size_t batch_size) {
+  std::vector<uint8_t> out(keys.size());
+  for (size_t b = 0; b < keys.size(); b += batch_size) {
+    const size_t count = std::min(batch_size, keys.size() - b);
+    size_t expected = 0;
+    for (size_t i = b; i < b + count; ++i) expected += scalar[i];
+    ASSERT_EQ(filter.ContainsBatch(KeySpan(keys.data() + b, count),
+                                   out.data() + b),
+              expected)
+        << "batch size " << batch_size << " at " << b;
+  }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(out[i], scalar[i])
+        << "batch size " << batch_size << " key #" << i << " " << keys[i];
+  }
+}
+
+TEST(ReadPathDifferentialTest, KernelTakesEveryExitLikeScalar) {
+  const Dataset& data = SharedData();
+  ShardedBuildOptions sharding;
+  sharding.num_shards = 8;
+  sharding.num_threads = 2;
+  sharding.routing = RoutingMode::kTwoChoice;
+  const auto filter = BuildShardedHabf(data.positives, data.negatives,
+                                       Options(false), sharding);
+  ASSERT_EQ(filter.routing(), RoutingMode::kTwoChoice);
+
+  std::vector<std::string_view> keys(data.positives.begin(),
+                                     data.positives.end());
+  const size_t num_members = keys.size();
+  for (const WeightedKey& wk : data.negatives) keys.push_back(wk.key);
+
+  size_t miss_at_stage[3] = {0, 0, 0};
+  size_t round1_hits = 0;
+  size_t empty_entry = 0;
+  size_t past_entry = 0;
+  size_t adjusted_member_hits = 0;
+  std::vector<uint8_t> scalar(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const Habf& shard = filter.shard(filter.ShardOf(keys[i]));
+    ASSERT_EQ(shard.h0().size(), 3u);
+    const KeyExit exit = ExitOf(shard, keys[i]);
+    scalar[i] = filter.MightContain(keys[i]) ? 1 : 0;
+    ASSERT_EQ(scalar[i], exit.first_clear == 3 || exit.round2_hit ? 1 : 0)
+        << keys[i];
+    if (exit.first_clear == 3) {
+      ++round1_hits;
+      continue;
+    }
+    ++miss_at_stage[exit.first_clear];
+    if (exit.empty_entry_cell) {
+      ++empty_entry;
+    } else if (!exit.walk_ok) {
+      ++past_entry;
+    }
+    if (i < num_members && exit.round2_hit) ++adjusted_member_hits;
+  }
+  EXPECT_GT(miss_at_stage[0], 0u);
+  EXPECT_GT(miss_at_stage[1], 0u);
+  EXPECT_GT(miss_at_stage[2], 0u);
+  EXPECT_GT(round1_hits, 0u);
+  EXPECT_GT(empty_entry, 0u);
+  EXPECT_GT(past_entry, 0u);
+  EXPECT_GT(adjusted_member_hits, 0u);
+  for (size_t i = 0; i < num_members; ++i) ASSERT_EQ(scalar[i], 1) << keys[i];
+
+  for (size_t batch_size = 1; batch_size <= 33; ++batch_size) {
+    ExpectBlocksMatchScalar(filter, keys, scalar, batch_size);
+  }
+  ExpectBlocksMatchScalar(filter, keys, scalar, 4097);
+}
+
+TEST(ReadPathDifferentialTest, UnlikeShardsAnswerLikeEachShard) {
+  // Four shards differing in k, seed, size and mode (one f-HABF), assembled
+  // through the public constructor: one kernel block mixes all of them.
+  const Dataset& data = SharedData();
+  constexpr size_t kShards = 4;
+  constexpr uint64_t kSalt = 99;
+  const RoutingDirectory directory = RoutingDirectory::Uniform(kShards);
+  std::vector<std::vector<std::string>> positives(kShards);
+  std::vector<std::vector<WeightedKey>> negatives(kShards);
+  for (const std::string& key : data.positives) {
+    positives[directory.ShardOf(key, kSalt)].push_back(key);
+  }
+  for (const WeightedKey& wk : data.negatives) {
+    negatives[directory.ShardOf(wk.key, kSalt)].push_back(wk);
+  }
+  const size_t ks[kShards] = {3, 2, 4, 5};
+  const bool fast[kShards] = {false, false, true, false};
+  std::vector<Habf> shards;
+  for (size_t s = 0; s < kShards; ++s) {
+    HabfOptions options = Options(fast[s]);
+    options.k = ks[s];
+    options.seed = 100 + s;
+    options.total_bits = positives[s].size() * (8 + 2 * s);
+    shards.push_back(Habf::Build(positives[s], negatives[s], options));
+  }
+  const ShardedFilter<Habf> filter(std::move(shards), kSalt, directory);
+  for (size_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(filter.shard(s).h0().size(), ks[s]);
+    EXPECT_EQ(filter.shard(s).options().fast, fast[s]);
+  }
+
+  std::vector<std::string_view> keys;
+  for (const std::string& key : data.positives) keys.push_back(key);
+  for (const WeightedKey& wk : data.negatives) keys.push_back(wk.key);
+  std::vector<uint8_t> scalar(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const Habf& shard = filter.shard(directory.ShardOf(keys[i], kSalt));
+    scalar[i] = shard.Contains(keys[i]) ? 1 : 0;
+  }
+  for (size_t i = 0; i < data.positives.size(); ++i) {
+    ASSERT_EQ(scalar[i], 1) << keys[i];
+  }
+  for (const size_t batch_size : {size_t{1}, size_t{7}, size_t{32},
+                                  size_t{33}, size_t{4097}}) {
+    ExpectBlocksMatchScalar(filter, keys, scalar, batch_size);
+  }
 }
 
 }  // namespace
