@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -21,10 +22,16 @@
 namespace habf {
 namespace {
 
+enum class DatasetKind : uint64_t { kShalla = 0, kYcsb = 1 };
+
+// gtest names each case after a byte dump of its parameter, so the struct
+// must have no padding: padding bytes are never initialised and would put
+// whatever the stack held into the test name.
 struct WorkloadCase {
-  bool ycsb;
+  DatasetKind dataset;
   double zipf_theta;
 };
+static_assert(sizeof(WorkloadCase) == sizeof(DatasetKind) + sizeof(double));
 
 class AllFiltersIntegration : public ::testing::TestWithParam<WorkloadCase> {
  protected:
@@ -36,8 +43,9 @@ class AllFiltersIntegration : public ::testing::TestWithParam<WorkloadCase> {
     options.num_positives = kKeys;
     options.num_negatives = kKeys;
     options.seed = 2024;
-    data_ = GetParam().ycsb ? GenerateYcsbLike(options)
-                            : GenerateShallaLike(options);
+    data_ = GetParam().dataset == DatasetKind::kYcsb
+                ? GenerateYcsbLike(options)
+                : GenerateShallaLike(options);
     if (GetParam().zipf_theta > 0) {
       AssignZipfCosts(&data_, GetParam().zipf_theta, 11);
     }
@@ -128,10 +136,13 @@ TEST_P(AllFiltersIntegration, HabfWinsAmongNonLearnedFilters) {
 
 INSTANTIATE_TEST_SUITE_P(
     Workloads, AllFiltersIntegration,
-    ::testing::Values(WorkloadCase{false, 0.0}, WorkloadCase{false, 1.0},
-                      WorkloadCase{true, 0.0}, WorkloadCase{true, 1.0}),
+    ::testing::Values(WorkloadCase{DatasetKind::kShalla, 0.0},
+                      WorkloadCase{DatasetKind::kShalla, 1.0},
+                      WorkloadCase{DatasetKind::kYcsb, 0.0},
+                      WorkloadCase{DatasetKind::kYcsb, 1.0}),
     [](const ::testing::TestParamInfo<WorkloadCase>& info) {
-      std::string name = info.param.ycsb ? "Ycsb" : "Shalla";
+      std::string name =
+          info.param.dataset == DatasetKind::kYcsb ? "Ycsb" : "Shalla";
       name += info.param.zipf_theta > 0 ? "Skewed" : "Uniform";
       return name;
     });
